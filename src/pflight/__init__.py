@@ -30,6 +30,7 @@ from .errors import (
     QuadratureError,
 )
 from .estimators import (
+    ESTIMATOR_KINDS,
     Estimate,
     IncrementSummary,
     indicator_estimate,
@@ -42,7 +43,6 @@ from .estimators import (
     summarize_increments,
 )
 from .montecarlo import (
-    ESTIMATOR_KINDS,
     ExperimentConfig,
     ExperimentOutcome,
     ExperimentSummary,

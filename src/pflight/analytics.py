@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 from scipy import integrate
 
 from .errors import (
@@ -38,6 +37,9 @@ from .errors import (
     DomainError,
     ParameterError,
     QuadratureError,
+    require_int,
+    require_nonnegative,
+    require_positive,
 )
 from .simulate import FlightParams
 
@@ -78,13 +80,6 @@ def _quad(func: Callable[[float], float], a: float, b: float) -> float:
     return value
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ParameterError(f"t must be finite and > 0, got {t}")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # densities
 # ---------------------------------------------------------------------------
@@ -103,7 +98,7 @@ def planar_density_ac(params: FlightParams, t: float, point: tuple[float, float]
     Defined on the open disc of radius c * t around the origin; the circle
     itself carries the atom exp(-rate * t) and is outside this domain.
     """
-    t = _check_time(t)
+    t = require_positive("t", t)
     rate, c = params.rate, params.speed
     x, y = float(point[0]), float(point[1])
     dx = x - params.origin[0]
@@ -118,22 +113,27 @@ def planar_density_ac(params: FlightParams, t: float, point: tuple[float, float]
     return rate / (2.0 * math.pi * c) * math.exp((rate / c) * root - rate * t) / root
 
 
+def _radial_ac_origin(rate: float, c: float, t: float, r: float) -> float:
+    """Absolutely continuous radial density at 0 < r < c t, start at (0, 0)."""
+    ct = c * t
+    root = math.sqrt((ct - r) * (ct + r))
+    kappa = rate / c
+    return kappa * r * math.exp(kappa * root - rate * t) / root
+
+
 def radial_density_origin(params: FlightParams, t: float, r: float) -> DensityValue:
     """Density of the distance from the start, for a flight started at (0, 0)."""
     if params.origin != (0.0, 0.0):
         raise ParameterError(
             f"radial_density_origin requires origin (0, 0), got {params.origin}; "
             "use radial_density_offset for shifted starts")
-    t = _check_time(t)
+    t = require_positive("t", t)
     rate, c = params.rate, params.speed
     r = float(r)
     ct = c * t
     if not 0.0 < r < ct:
         raise DomainError(f"r must lie in (0, {ct:.17g}), got {r}")
-    w = (ct - r) * (ct + r)
-    root = math.sqrt(w)
-    ac = (rate / c) * r * math.exp((rate / c) * root - rate * t) / root
-    return DensityValue(ac=ac, singular_weight=math.exp(-rate * t))
+    return DensityValue(ac=_radial_ac_origin(rate, c, t, r), singular_weight=math.exp(-rate * t))
 
 
 def radial_density_offset(params: FlightParams, t: float, r: float) -> DensityValue:
@@ -152,11 +152,9 @@ def radial_density_offset(params: FlightParams, t: float, r: float) -> DensityVa
     r = c t - rho0 the integral itself diverges (logarithmically in r)
     and the returned value is +inf.
     """
-    t = _check_time(t)
+    t = require_positive("t", t)
     rate, c = params.rate, params.speed
-    r = float(r)
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"r must be finite and >= 0, got {r}")
+    r = require_nonnegative("r", r, DomainError)
     ct = c * t
     rho0 = math.hypot(*params.origin)
     kappa = rate / c
@@ -166,12 +164,8 @@ def radial_density_offset(params: FlightParams, t: float, r: float) -> DensityVa
     if rho0 == 0.0:
         if not 0.0 <= r < ct:
             raise DomainError(f"r must lie in [0, {ct:.17g}) for a start at the origin")
-        if r == 0.0:
-            return DensityValue(ac=0.0, singular_weight=sw)
-        w = (ct - r) * (ct + r)
-        root = math.sqrt(w)
-        return DensityValue(ac=kappa * r * math.exp(kappa * root - lt) / root,
-                            singular_weight=sw)
+        ac = 0.0 if r == 0.0 else _radial_ac_origin(rate, c, t, r)
+        return DensityValue(ac=ac, singular_weight=sw)
 
     a_max = (ct - r + rho0) * (ct + r - rho0)   # A at psi = 0
     if a_max <= 0.0:
@@ -226,10 +220,8 @@ def bessel_limit_density(origin: tuple[float, float], t: float, r: float) -> flo
     evaluated here in exponentially scaled form so large arguments do not
     overflow.
     """
-    t = _check_time(t)
-    r = float(r)
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"r must be finite and >= 0, got {r}")
+    t = require_positive("t", t)
+    r = require_nonnegative("r", r, DomainError)
     rho0 = math.hypot(float(origin[0]), float(origin[1]))
     diff = r - rho0
     return (r / t) * math.exp(-diff * diff / (2.0 * t)) * bessel_i_scaled(0.0, r * rho0 / t)
@@ -240,9 +232,7 @@ def bessel_limit_density(origin: tuple[float, float], t: float, r: float) -> flo
 # ---------------------------------------------------------------------------
 
 def _check_bessel_order(nu: float) -> float:
-    nu = float(nu)
-    if not (math.isfinite(nu) and nu >= 0.0):
-        raise ParameterError(f"order must be finite and >= 0, got {nu}")
+    nu = require_nonnegative("order", nu)
     if abs(2.0 * nu - round(2.0 * nu)) > 1e-12:
         raise ParameterError(
             f"only integer and half-integer orders are supported, got {nu}")
@@ -300,9 +290,7 @@ def bessel_i(nu: float, x: float) -> float:
     a double and ``BesselOverflowError`` carries exp(-x) * I_nu(x) instead.
     """
     nu = _check_bessel_order(nu)
-    x = float(x)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ParameterError(f"x must be finite and >= 0, got {x}")
+    x = require_nonnegative("x", x)
     if x <= _BESSEL_SWITCH:
         return _bessel_series(nu, x)
     scaled = _bessel_asymptotic_scaled(nu, x)
@@ -316,9 +304,7 @@ def bessel_i(nu: float, x: float) -> float:
 def bessel_i_scaled(nu: float, x: float) -> float:
     """exp(-x) * I_nu(x), finite for all x >= 0."""
     nu = _check_bessel_order(nu)
-    x = float(x)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ParameterError(f"x must be finite and >= 0, got {x}")
+    x = require_nonnegative("x", x)
     if x <= _BESSEL_SWITCH:
         return _bessel_series(nu, x) * math.exp(-x)
     return _bessel_asymptotic_scaled(nu, x)
@@ -347,9 +333,8 @@ def moment_closed_form(params: FlightParams, t: float, p: int) -> float:
     the actual moment is needed.
     """
     _check_moment_params(params)
-    t = _check_time(t)
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1:
-        raise ParameterError(f"p must be an integer >= 1, got {p!r}")
+    t = require_positive("t", t)
+    p = require_int("p", p)
     rate, c = params.rate, params.speed
     lt = rate * t
     ct = c * t
@@ -372,10 +357,8 @@ def moment_quadrature(params: FlightParams, t: float, p: float) -> float:
     Validated against simulated moments; this is the trusted route.
     """
     _check_moment_params(params)
-    t = _check_time(t)
-    p = float(p)
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ParameterError(f"p must be finite and >= 0, got {p}")
+    t = require_positive("t", t)
+    p = require_nonnegative("p", p)
     rate, c = params.rate, params.speed
     ct = c * t
     kappa = rate / c
@@ -407,26 +390,25 @@ class FisherInfo:
 
 
 def fisher_info(rate: float, delta: float, n: int) -> FisherInfo:
-    """Exact per-step information of the pseudo-model and its n-step total.
+    """Per-step information of the one-step law's continuous part, and its n-step total.
 
-    per_observation = (1 - exp(-rate delta) (1 + rate^2 delta^2)) / rate^2,
-    computed via expm1 so the small-delta regime (where it behaves like
-    delta / rate - 1.5 delta^2) does not lose precision. The idealized
-    value 1 / rate^2 is the large-delta limit used in the asymptotics.
+    per_observation = (1 - exp(-rate delta) (1 + rate^2 delta^2)) / rate^2
+    is the information of the absolutely continuous part (turned strides)
+    only. It leaves out the no-turn atom's term delta^2 exp(-rate delta);
+    the full one-step information is -expm1(-rate delta) / rate^2.
+    per_observation is computed via expm1 so the small-delta regime (where
+    it behaves like delta / rate - 1.5 delta^2) does not lose precision.
+    The idealized value 1 / rate^2 is the large-delta limit used in the
+    asymptotics.
     """
-    rate = float(rate)
-    delta = float(delta)
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ParameterError(f"rate must be finite and > 0, got {rate}")
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ParameterError(f"delta must be finite and > 0, got {delta}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    rate = require_positive("rate", rate)
+    delta = require_positive("delta", delta)
+    n = require_int("n", n)
     x = rate * delta
     per = (-math.expm1(-x) - x * x * math.exp(-x)) / (rate * rate)
     return FisherInfo(per_observation=per,
                       idealized_per_observation=1.0 / (rate * rate),
-                      n=int(n),
+                      n=n,
                       total=n * per)
 
 
@@ -440,11 +422,8 @@ def cramer_rao_bound(rate: float, n: int,
     without ``bias_derivative``, the derivative is taken by central finite
     differences with step 1e-5 * rate.
     """
-    rate = float(rate)
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ParameterError(f"rate must be finite and > 0, got {rate}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    rate = require_positive("rate", rate)
+    n = require_int("n", n)
     if bias_fn is None:
         if bias_derivative is not None:
             raise ParameterError("bias_derivative given without bias_fn")

@@ -23,22 +23,11 @@ from .analytics import (
     radial_density_offset,
     radial_density_origin,
 )
-from .errors import NumericalError, ParameterError
-from .estimators import (
-    IncrementSummary,
-    indicator_estimate,
-    modified_mle,
-    pseudo_mle,
-)
+from .errors import NumericalError, ParameterError, require_int
+from .estimators import DEFAULT_EPSILON, ESTIMATORS, IncrementSummary
 from .montecarlo import config_from_json, run_experiment
 from .seeding import SeedSpec
 from .simulate import FlightParams, sample_at_grid, simulate_trajectory
-
-_ESTIMATOR_CHOICES = {
-    "hat": pseudo_mle,
-    "tilde": modified_mle,
-    "dot": indicator_estimate,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,10 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--in", dest="infile", required=True,
                      help="input path or - for stdin")
     est.add_argument("--c", dest="speed", type=float, required=True, help="speed")
-    est.add_argument("--estimator", choices=("hat", "tilde", "dot", "all"),
-                     default="all")
-    est.add_argument("--epsilon", type=float, default=1e-9,
-                     help="turn-classification tolerance (default 1e-9)")
+    est.add_argument("--estimator", choices=(*ESTIMATORS, "all"), default="all")
+    est.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                     help="turn-classification tolerance (default %(default)g)")
     est.add_argument("--format", choices=("auto", "csv", "ndjson"), default="auto")
     est.add_argument("--out", default="-")
     est.set_defaults(func=_cmd_estimate)
@@ -150,32 +138,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _read_positions(args: argparse.Namespace):
     fmt = args.format
     if fmt == "auto":
-        if args.infile.endswith((".ndjson", ".jsonl", ".json")):
-            fmt = "ndjson"
-        else:
-            fmt = "csv"
-    if args.infile == "-":
-        fh = sys.stdin
-        return (pfio.read_positions_csv(fh) if fmt == "csv"
-                else pfio.read_sample_ndjson(fh))
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        return (pfio.read_positions_csv(fh) if fmt == "csv"
-                else pfio.read_sample_ndjson(fh))
+        fmt = "ndjson" if args.infile.endswith((".ndjson", ".jsonl", ".json")) else "csv"
+    with (contextlib.nullcontext(sys.stdin) if args.infile == "-"
+          else open(args.infile, "r", encoding="utf-8")) as fh:
+        if fmt == "csv":
+            return pfio.read_positions_csv(fh)
+        return pfio.read_sample_ndjson(fh, speed=args.speed)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     positions, delta = _read_positions(args)
     summary = IncrementSummary.from_positions(positions, delta, args.speed, args.epsilon)
-    names = ("hat", "tilde", "dot") if args.estimator == "all" else (args.estimator,)
-    rows = [( _ESTIMATOR_CHOICES[name](summary), summary.n_plus) for name in names]
+    names = tuple(ESTIMATORS) if args.estimator == "all" else (args.estimator,)
+    rows = [(ESTIMATORS[name][1](summary), summary.n_plus) for name in names]
     _write_lines(args.out, pfio.estimates_csv_lines(rows))
     return 0
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
     params = FlightParams(rate=args.rate, speed=args.speed, origin=(args.x0, args.y0))
-    if args.points < 1:
-        raise ParameterError(f"--points must be >= 1, got {args.points}")
+    require_int("--points", args.points)
     if not args.r_min <= args.r_max:
         raise ParameterError(f"--r-min {args.r_min} must not exceed --r-max {args.r_max}")
     offset = params.origin != (0.0, 0.0)
@@ -195,8 +177,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     params = FlightParams(rate=args.rate, speed=args.speed)
-    if args.p_max < 1:
-        raise ParameterError(f"--p-max must be >= 1, got {args.p_max}")
+    require_int("--p-max", args.p_max)
     lines = [pfio.MOMENTS_HEADER]
     for p in range(1, args.p_max + 1):
         closed = moment_closed_form(params, args.t, p)
@@ -240,10 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         _print_error(exc)
         return 1
-    except (ParameterError, ValueError) as exc:
-        _print_error(exc)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         _print_error(exc)
         return 2
 

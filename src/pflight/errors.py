@@ -5,9 +5,15 @@ density, observation files inconsistent with the claimed motion) raise
 subclasses of ``ValueError`` so callers can treat them uniformly.
 Numerical failures raise ``NumericalError`` and carry the best estimate
 that was achieved, so a caller can still inspect it.
+
+The ``require_*`` helpers are the package's scalar boundary checks; each
+returns the checked value and raises the exception type its caller names.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Integral, Real
 
 
 class ParameterError(ValueError):
@@ -51,3 +57,35 @@ class BesselOverflowError(NumericalError):
     def __init__(self, message: str, scaled_value: float):
         super().__init__(message, estimate=scaled_value)
         self.scaled_value = scaled_value
+
+
+# The concrete-type tests come first because the ABC isinstance checks
+# cost several times more, and these run several times per replication.
+def _is_real(value) -> bool:
+    return isinstance(value, (float, int)) or isinstance(value, Real)
+
+
+def _is_int(value) -> bool:
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
+def require_positive(name: str, value: float, error: type[ValueError] = ParameterError) -> float:
+    """``value`` as a float, checked to be a finite real number > 0."""
+    if _is_real(value) and math.isfinite(value) and value > 0.0:
+        return float(value)
+    raise error(f"{name} must be finite and > 0, got {value}")
+
+
+def require_nonnegative(name: str, value: float, error: type[ValueError] = ParameterError) -> float:
+    """``value`` as a float, checked to be a finite real number >= 0."""
+    if _is_real(value) and math.isfinite(value) and value >= 0.0:
+        return float(value)
+    raise error(f"{name} must be finite and >= 0, got {value}")
+
+
+def require_int(name: str, value: int, low: int = 1, high: int | None = None) -> int:
+    """``value`` as an int, checked to be an integer (not a bool) in [low, high)."""
+    if _is_int(value) and low <= value and (high is None or value < high):
+        return int(value)
+    bound = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")

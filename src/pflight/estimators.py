@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InconsistentSampleError, NumericalError, ParameterError
+from .errors import (DomainError, InconsistentSampleError, NumericalError, ParameterError,
+                     require_positive)
 from .simulate import DiscreteSample, Trajectory
 
 __all__ = [
@@ -50,9 +51,21 @@ __all__ = [
     "indicator_estimate",
     "poisson_mle",
     "pseudo_likelihood_ratio",
+    "ESTIMATORS",
+    "ESTIMATOR_KINDS",
+    "DEFAULT_EPSILON",
+    "check_epsilon",
+    "estimator_name",
 ]
 
 DEFAULT_EPSILON = 1e-9
+
+
+def check_epsilon(epsilon: float) -> float:
+    """The turn-classification tolerance, checked to lie in (0, 1e-3]."""
+    if not 0.0 < epsilon <= 1e-3:
+        raise ParameterError(f"epsilon must lie in (0, 1e-3], got {epsilon}")
+    return float(epsilon)
 
 
 @dataclass(frozen=True)
@@ -64,11 +77,9 @@ class IncrementSummary:
     speed: float
     epsilon: float
     u: np.ndarray
-    eta: np.ndarray
     turned: np.ndarray
     n_plus: int
     sum_sqrt_u_turned: float
-    sum_sqrt_u_all: float
 
     @classmethod
     def from_positions(cls, positions: np.ndarray, delta: float, speed: float,
@@ -77,40 +88,32 @@ class IncrementSummary:
         if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] < 2:
             raise ParameterError(
                 f"positions must have shape (n+1, 2) with n >= 1, got {positions.shape}")
-        if not (math.isfinite(delta) and delta > 0.0):
-            raise ParameterError(f"delta must be finite and > 0, got {delta}")
-        if not (math.isfinite(speed) and speed > 0.0):
-            raise ParameterError(f"speed must be finite and > 0, got {speed}")
-        if not 0.0 < epsilon <= 1e-3:
-            raise ParameterError(f"epsilon must lie in (0, 1e-3], got {epsilon}")
+        delta = require_positive("delta", delta)
+        speed = require_positive("speed", speed)
+        epsilon = check_epsilon(epsilon)
 
         stride_sq = (speed * delta) ** 2
         dx = np.diff(positions[:, 0])
         dy = np.diff(positions[:, 1])
-        d_sq = dx * dx + dy * dy
-        u_raw = stride_sq - d_sq
+        u_raw = stride_sq - (dx * dx + dy * dy)
         tol = epsilon * stride_sq
-        if np.any(u_raw < -tol):
+        # Written so that a NaN slack (a non-finite position) fails the test.
+        if not np.all(u_raw >= -tol):
             worst = float(u_raw.min())
             raise InconsistentSampleError(
-                f"slack {worst:.17g} below -epsilon*(speed*delta)^2 = {-tol:.17g}; "
-                "an increment is longer than one stride")
+                f"slack {worst:.17g} is non-finite or below -epsilon*(speed*delta)^2 = "
+                f"{-tol:.17g}; an increment is non-finite or longer than one stride")
         u = np.maximum(u_raw, 0.0)
         turned = u_raw > tol
-        sqrt_u = np.sqrt(u)
-        sum_turned = float(np.sum(sqrt_u[turned]))
-        sum_all = float(np.sum(np.where(turned, sqrt_u, 0.0)))
         return cls(
             n=int(u.size),
-            delta=float(delta),
-            speed=float(speed),
-            epsilon=float(epsilon),
+            delta=delta,
+            speed=speed,
+            epsilon=epsilon,
             u=u,
-            eta=np.sqrt(d_sq),
             turned=turned,
             n_plus=int(np.count_nonzero(turned)),
-            sum_sqrt_u_turned=sum_turned,
-            sum_sqrt_u_all=sum_all,
+            sum_sqrt_u_turned=float(np.sum(np.sqrt(u[turned]))),
         )
 
 
@@ -140,13 +143,6 @@ class Estimate:
     condition_warning: bool = False
 
 
-def _check_rate(rate: float) -> float:
-    rate = float(rate)
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise DomainError(f"rate must be finite and > 0, got {rate}")
-    return rate
-
-
 def pseudo_log_likelihood(summary: IncrementSummary, rate: float) -> float:
     """Log of the product of per-step marginal densities at ``rate``.
 
@@ -154,7 +150,7 @@ def pseudo_log_likelihood(summary: IncrementSummary, rate: float) -> float:
     factor is the exact marginal law of one increment (atom at full stride,
     density inside), hence "pseudo".
     """
-    rate = _check_rate(rate)
+    rate = require_positive("rate", rate, DomainError)
     n, delta, c = summary.n, summary.delta, summary.speed
     value = -rate * n * delta - n * math.log(2.0 * math.pi * c)
     value += summary.n_plus * math.log(rate)
@@ -170,7 +166,7 @@ def score(summary: IncrementSummary, rate: float) -> float:
     Strictly decreasing in ``rate`` (second derivative -n_plus / rate^2),
     so it has at most one root.
     """
-    rate = _check_rate(rate)
+    rate = require_positive("rate", rate, DomainError)
     return (-summary.n * summary.delta
             + summary.sum_sqrt_u_turned / summary.speed
             + summary.n_plus / rate)
@@ -199,12 +195,12 @@ def pseudo_mle(summary: IncrementSummary) -> Estimate:
 def modified_mle(summary: IncrementSummary) -> Estimate:
     """Closed-form estimator assuming every step contains a turn.
 
-    Uses all steps' slacks (non-turned ones clamp to zero). When some step
-    did not turn the assumption is violated; the value is still returned
-    with ``condition_warning`` set.
+    Uses the same slack sum as ``pseudo_mle``, since non-turned steps add
+    nothing to it. When some step did not turn the assumption is violated;
+    the value is still returned with ``condition_warning`` set.
     """
     n, delta, c = summary.n, summary.delta, summary.speed
-    denom = c * n * delta - summary.sum_sqrt_u_all
+    denom = c * n * delta - summary.sum_sqrt_u_turned
     if denom <= 0.0:
         raise NumericalError(
             f"degenerate denominator {denom:.17g} in modified MLE", estimate=math.inf)
@@ -249,7 +245,7 @@ def pseudo_likelihood_ratio(summary: IncrementSummary, rate: float, z: float) ->
     exp(pseudo_log_likelihood(rate + phi * z) - pseudo_log_likelihood(rate))
     with phi = rate / sqrt(n).
     """
-    rate = _check_rate(rate)
+    rate = require_positive("rate", rate, DomainError)
     z = float(z)
     n, delta, c = summary.n, summary.delta, summary.speed
     phi = rate / math.sqrt(n)
@@ -257,7 +253,28 @@ def pseudo_likelihood_ratio(summary: IncrementSummary, rate: float, z: float) ->
         raise DomainError(
             f"local parameter rate + z * rate / sqrt(n) = {rate + phi * z:.17g} "
             "must stay positive")
-    log_ratio = ((phi * z / c) * summary.sum_sqrt_u_all
+    log_ratio = ((phi * z / c) * summary.sum_sqrt_u_turned
                  - phi * n * z * delta
                  + n * math.log1p(z / math.sqrt(n)))
     return math.exp(log_ratio)
+
+
+# Short names used by the CLI and Monte Carlo configs -> (reported kind, function).
+ESTIMATORS = {
+    "hat": ("pseudo_mle", pseudo_mle),
+    "tilde": ("modified_mle", modified_mle),
+    "dot": ("indicator", indicator_estimate),
+}
+ESTIMATOR_KINDS = {name: kind for name, (kind, _) in ESTIMATORS.items()}
+_KIND_TO_NAME = {kind: name for name, kind in ESTIMATOR_KINDS.items()}
+
+
+def estimator_name(name: str) -> str:
+    """The registry's short name for a short name or a reported kind."""
+    if name in ESTIMATORS:
+        return name
+    if name in _KIND_TO_NAME:
+        return _KIND_TO_NAME[name]
+    raise ParameterError(
+        f"unknown estimator {name!r}; expected one of "
+        f"{sorted(ESTIMATORS)} or {sorted(_KIND_TO_NAME)}")

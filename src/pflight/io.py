@@ -8,14 +8,14 @@ estimate serializes as ``null`` plus a boolean flag.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .errors import ParameterError
-from .estimators import Estimate
-from .montecarlo import ESTIMATOR_KINDS, ExperimentOutcome
+from .estimators import ESTIMATOR_KINDS, Estimate
 from .simulate import DiscreteSample, Trajectory, vertex_positions
 
 POSITIONS_HEADER = "i,t,x,y"
@@ -63,7 +63,7 @@ def read_positions_csv(fh: TextIO) -> tuple[np.ndarray, float]:
     """Parse an ``i,t,x,y`` table back into (positions, delta).
 
     Rows must be complete and ordered by i = 0..n; the time column must be
-    an equidistant grid starting at 0.
+    an equidistant grid starting at 0 with finite values.
     """
     header = fh.readline().strip()
     if header != POSITIONS_HEADER:
@@ -96,8 +96,9 @@ def read_positions_csv(fh: TextIO) -> tuple[np.ndarray, float]:
         raise ParameterError(f"non-increasing time grid: delta = {delta}")
     grid = np.asarray(times)
     expected = np.arange(n + 1) * delta
-    if np.max(np.abs(grid - expected)) > 1e-9 * max(delta, grid[-1]):
-        raise ParameterError("time column is not an equidistant grid")
+    # Written so that a NaN time fails the test.
+    if not np.max(np.abs(grid - expected)) <= 1e-9 * max(delta, grid[-1]):
+        raise ParameterError("time column is non-finite or not an equidistant grid")
     return np.asarray(rows, dtype=np.float64), delta
 
 
@@ -133,10 +134,12 @@ def sample_ndjson_line(sample: DiscreteSample) -> str:
             "}")
 
 
-def read_sample_ndjson(fh: TextIO) -> tuple[np.ndarray, float]:
-    """Read one discrete-sample record; returns (positions, delta)."""
-    import json
+def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.ndarray, float]:
+    """Read one discrete-sample record; returns (positions, delta).
 
+    The record's ``n`` must match its number of positions, and its
+    ``speed`` must equal ``speed`` when the caller gives one.
+    """
     for line in fh:
         line = line.strip()
         if not line:
@@ -150,8 +153,14 @@ def read_sample_ndjson(fh: TextIO) -> tuple[np.ndarray, float]:
         try:
             positions = np.asarray(obj["positions"], dtype=np.float64)
             delta = float(obj["delta"])
+            n, record_speed = obj["n"], obj["speed"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed discrete_sample record: {exc}") from None
+        if positions.ndim == 0 or n != positions.shape[0] - 1:
+            raise ParameterError(
+                f"record's n = {n!r} does not match its positions of shape {positions.shape}")
+        if speed is not None and record_speed != speed:
+            raise ParameterError(f"record's speed {record_speed!r} differs from {speed!r}")
         return positions, delta
     raise ParameterError("no records in NDJSON input")
 
@@ -168,7 +177,8 @@ def estimates_csv_lines(rows: Iterable[tuple[Estimate, int]]) -> Iterator[str]:
                f"{est.n},{fmt_raw(est.delta)},{n_plus},{_bool(est.saturated)}")
 
 
-def summary_csv_lines(outcome: ExperimentOutcome) -> Iterator[str]:
+def summary_csv_lines(outcome) -> Iterator[str]:
+    """Rows of a Monte Carlo outcome's cell summaries."""
     yield SUMMARY_HEADER
     cfg = outcome.config
     for s in outcome.summaries:
@@ -179,7 +189,7 @@ def summary_csv_lines(outcome: ExperimentOutcome) -> Iterator[str]:
                f"{fmt_summary(s.min_value)},{fmt_summary(s.max_value)},{s.saturated_count}")
 
 
-def raw_ndjson_lines(outcome: ExperimentOutcome) -> Iterator[str]:
+def raw_ndjson_lines(outcome) -> Iterator[str]:
     """One record per replication, cells in run order, replications ascending."""
     cfg = outcome.config
     for li, rate in enumerate(cfg.lambda_grid):

@@ -21,19 +21,24 @@ saturated indicator estimates are excluded from the moments and counted in
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .errors import EmptyCellError, NumericalError, ParameterError
+from .errors import EmptyCellError, NumericalError, ParameterError, require_int, require_positive
 from .estimators import (
+    DEFAULT_EPSILON,
+    ESTIMATOR_KINDS,
+    ESTIMATORS,
     Estimate,
-    indicator_estimate,
-    modified_mle,
-    pseudo_mle,
+    check_epsilon,
+    estimator_name,
     summarize_increments,
 )
 from .seeding import SeedSpec, replication_stream
@@ -53,15 +58,6 @@ __all__ = [
     "ESTIMATOR_KINDS",
 ]
 
-# Short CLI names -> (estimator kind reported in summaries, function).
-_ESTIMATOR_FUNCS = {
-    "hat": ("pseudo_mle", pseudo_mle),
-    "tilde": ("modified_mle", modified_mle),
-    "dot": ("indicator", indicator_estimate),
-}
-ESTIMATOR_KINDS = {name: kind for name, (kind, _) in _ESTIMATOR_FUNCS.items()}
-_KIND_TO_NAME = {kind: name for name, kind in ESTIMATOR_KINDS.items()}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -73,51 +69,33 @@ class ExperimentConfig:
     reps: int
     master_seed: int
     speed: float = 1.0
-    estimators: tuple[str, ...] = ("hat", "tilde", "dot")
-    epsilon: float = 1e-9
+    estimators: tuple[str, ...] = tuple(ESTIMATORS)
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        lams = tuple(float(v) for v in self.lambda_grid)
-        if not lams or any(not math.isfinite(v) or v <= 0.0 for v in lams):
-            raise ParameterError(f"lambda_grid must be non-empty positive floats, got {lams}")
+        lams = tuple(require_positive("lambda_grid value", v) for v in self.lambda_grid)
+        if not lams:
+            raise ParameterError("lambda_grid must not be empty")
         ns = tuple(int(v) for v in self.n_grid)
         if not ns or any(v < 1 for v in ns) or any(int(v) != v for v in self.n_grid):
             raise ParameterError(f"n_grid must be non-empty integers >= 1, got {self.n_grid}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ParameterError(f"horizon must be finite and > 0, got {self.horizon}")
-        if not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
-            raise ParameterError(f"reps must be an integer >= 1, got {self.reps!r}")
-        if self.reps >= (1 << 24):
-            raise ParameterError(f"reps must be below 2^24, got {self.reps}")
-        if not isinstance(self.master_seed, (int, np.integer)) or not 0 <= self.master_seed < (1 << 64):
-            raise ParameterError(f"master_seed must be an integer in [0, 2^64), got {self.master_seed!r}")
-        if not (math.isfinite(self.speed) and self.speed > 0.0):
-            raise ParameterError(f"speed must be finite and > 0, got {self.speed}")
-        names = tuple(_canonical_estimator(e) for e in self.estimators)
+        names = tuple(estimator_name(e) for e in self.estimators)
         if not names:
             raise ParameterError("estimators must not be empty")
         if len(set(names)) != len(names):
             raise ParameterError(f"duplicate estimators in {self.estimators}")
-        if not 0.0 < self.epsilon <= 1e-3:
-            raise ParameterError(f"epsilon must lie in (0, 1e-3], got {self.epsilon}")
-        object.__setattr__(self, "lambda_grid", lams)
-        object.__setattr__(self, "n_grid", ns)
-        object.__setattr__(self, "horizon", float(self.horizon))
-        object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        object.__setattr__(self, "speed", float(self.speed))
-        object.__setattr__(self, "estimators", names)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-
-
-def _canonical_estimator(name: str) -> str:
-    if name in _ESTIMATOR_FUNCS:
-        return name
-    if name in _KIND_TO_NAME:
-        return _KIND_TO_NAME[name]
-    raise ParameterError(
-        f"unknown estimator {name!r}; expected one of "
-        f"{sorted(_ESTIMATOR_FUNCS)} or {sorted(_KIND_TO_NAME)}")
+        checked = {
+            "lambda_grid": lams,
+            "n_grid": ns,
+            "horizon": require_positive("horizon", self.horizon),
+            "reps": require_int("reps", self.reps, 1, 1 << 24),
+            "master_seed": require_int("master_seed", self.master_seed, 0, 1 << 64),
+            "speed": require_positive("speed", self.speed),
+            "estimators": names,
+            "epsilon": check_epsilon(self.epsilon),
+        }
+        for field, value in checked.items():
+            object.__setattr__(self, field, value)
 
 
 @dataclass(frozen=True)
@@ -158,23 +136,34 @@ class ExperimentOutcome:
     values: dict[tuple[int, int, str], np.ndarray]
 
 
+def _replicate(config: ExperimentConfig, lambda_index: int, n_index: int,
+               start: int, stop: int) -> Iterator[dict[str, Estimate | None]]:
+    """Simulate, observe and estimate replications [start, stop) of one cell.
+
+    Yields each replication's estimates by short name; None marks a
+    failed estimator. The loop keeps the previous replication's arrays
+    alive while it builds the next, so on long records the allocator
+    reuses their memory instead of returning it to the OS after each one.
+    """
+    params = FlightParams(rate=config.lambda_grid[lambda_index], speed=config.speed)
+    n = config.n_grid[n_index]
+    for rep in range(start, stop):
+        seed = SeedSpec(config.master_seed, replication_stream(lambda_index, n_index, rep))
+        traj = simulate_trajectory(params, config.horizon, seed)
+        summary = summarize_increments(sample_at_grid(traj, n), config.epsilon)
+        estimates: dict[str, Estimate | None] = {}
+        for name in config.estimators:
+            try:
+                estimates[name] = ESTIMATORS[name][1](summary)
+            except NumericalError:
+                estimates[name] = None
+        yield estimates
+
+
 def run_replication(config: ExperimentConfig, lambda_index: int, n_index: int,
                     rep_index: int) -> ReplicationResult:
     """Simulate, observe and estimate one replication of one cell."""
-    rate = config.lambda_grid[lambda_index]
-    n = config.n_grid[n_index]
-    params = FlightParams(rate=rate, speed=config.speed)
-    seed = SeedSpec(config.master_seed,
-                    replication_stream(lambda_index, n_index, rep_index))
-    traj = simulate_trajectory(params, config.horizon, seed)
-    summary = summarize_increments(sample_at_grid(traj, n), config.epsilon)
-    estimates: dict[str, Estimate | None] = {}
-    for name in config.estimators:
-        func = _ESTIMATOR_FUNCS[name][1]
-        try:
-            estimates[name] = func(summary)
-        except NumericalError:
-            estimates[name] = None
+    (estimates,) = _replicate(config, lambda_index, n_index, rep_index, rep_index + 1)
     return ReplicationResult(lambda_index=lambda_index, n_index=n_index,
                              rep_index=rep_index, estimates=estimates)
 
@@ -182,27 +171,11 @@ def run_replication(config: ExperimentConfig, lambda_index: int, n_index: int,
 def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
                start: int, stop: int) -> dict[str, np.ndarray]:
     """Replications [start, stop) of one cell, as per-estimator value arrays."""
-    rate = config.lambda_grid[lambda_index]
-    n = config.n_grid[n_index]
-    params = FlightParams(rate=rate, speed=config.speed)
-    funcs = [(name, _ESTIMATOR_FUNCS[name][1]) for name in config.estimators]
     out = {name: np.empty(stop - start, dtype=np.float64) for name in config.estimators}
-    for rep in range(start, stop):
-        seed = SeedSpec(config.master_seed,
-                        replication_stream(lambda_index, n_index, rep))
-        traj = simulate_trajectory(params, config.horizon, seed)
-        summary = summarize_increments(sample_at_grid(traj, n), config.epsilon)
-        for name, func in funcs:
-            try:
-                out[name][rep - start] = func(summary).value
-            except NumericalError:
-                out[name][rep - start] = math.nan
+    for i, estimates in enumerate(_replicate(config, lambda_index, n_index, start, stop)):
+        for name, est in estimates.items():
+            out[name][i] = math.nan if est is None else est.value
     return out
-
-
-def _run_range_task(config: ExperimentConfig, lambda_index: int, n_index: int,
-                    start: int, stop: int):
-    return lambda_index, n_index, start, _run_range(config, lambda_index, n_index, start, stop)
 
 
 def summarize(values: np.ndarray, rate: float, n: int, estimator_kind: str,
@@ -260,22 +233,18 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     values = {(li, ni, name): np.empty(reps, dtype=np.float64)
               for li, ni in cells for name in config.estimators}
 
-    if workers == 1:
-        for li, ni in cells:
-            arrs = _run_range(config, li, ni, 0, reps)
+    # A pool gets four tasks per worker per cell to balance load; one worker
+    # runs each cell as one task.
+    chunk = reps if workers == 1 else max(1, math.ceil(reps / (workers * 4)))
+    tasks = [(li, ni, a, min(a + chunk, reps))
+             for li, ni in cells for a in range(0, reps, chunk)]
+    run = functools.partial(_run_range, config)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        mapper = map if pool is None else pool.map
+        for (li, ni, start, stop), arrs in zip(tasks, mapper(run, *zip(*tasks))):
             for name, arr in arrs.items():
-                values[(li, ni, name)][:] = arr
-    else:
-        chunk = max(1, math.ceil(reps / (workers * 4)))
-        tasks = [(li, ni, a, min(a + chunk, reps))
-                 for li, ni in cells for a in range(0, reps, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_range_task, config, li, ni, a, b)
-                       for li, ni, a, b in tasks]
-            for fut in as_completed(futures):
-                li, ni, start, arrs = fut.result()
-                for name, arr in arrs.items():
-                    values[(li, ni, name)][start:start + arr.size] = arr
+                values[(li, ni, name)][start:stop] = arr
 
     summaries = []
     for li, ni in cells:
@@ -292,8 +261,10 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-_JSON_KEYS = {"lambda_grid", "n_grid", "T", "c", "reps", "master_seed",
-              "estimators", "epsilon"}
+# JSON keys -> ExperimentConfig fields, in the order config_to_json writes them.
+_JSON_FIELDS = {"lambda_grid": "lambda_grid", "n_grid": "n_grid", "T": "horizon", "c": "speed",
+                "reps": "reps", "master_seed": "master_seed", "estimators": "estimators",
+                "epsilon": "epsilon"}
 _JSON_REQUIRED = {"lambda_grid", "n_grid", "T", "reps", "master_seed"}
 
 
@@ -301,35 +272,20 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     """Build a config from the documented JSON shape; unknown keys are errors."""
     if not isinstance(obj, dict):
         raise ParameterError(f"config must be a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - _JSON_KEYS
+    unknown = set(obj) - set(_JSON_FIELDS)
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     missing = _JSON_REQUIRED - set(obj)
     if missing:
         raise ParameterError(f"missing config keys: {sorted(missing)}")
     try:
-        return ExperimentConfig(
-            lambda_grid=tuple(obj["lambda_grid"]),
-            n_grid=tuple(obj["n_grid"]),
-            horizon=obj["T"],
-            reps=obj["reps"],
-            master_seed=obj["master_seed"],
-            speed=obj.get("c", 1.0),
-            estimators=tuple(obj.get("estimators", ("hat", "tilde", "dot"))),
-            epsilon=obj.get("epsilon", 1e-9),
-        )
+        return ExperimentConfig(**{_JSON_FIELDS[key]: value for key, value in obj.items()})
     except TypeError as exc:
         raise ParameterError(f"malformed config: {exc}") from None
 
 
 def config_to_json(config: ExperimentConfig) -> dict:
-    return {
-        "lambda_grid": list(config.lambda_grid),
-        "n_grid": list(config.n_grid),
-        "T": config.horizon,
-        "c": config.speed,
-        "reps": config.reps,
-        "master_seed": config.master_seed,
-        "estimators": list(config.estimators),
-        "epsilon": config.epsilon,
-    }
+    obj = {key: getattr(config, field) for key, field in _JSON_FIELDS.items()}
+    for key in ("lambda_grid", "n_grid", "estimators"):
+        obj[key] = list(obj[key])
+    return obj

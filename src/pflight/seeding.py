@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import require_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -45,11 +45,7 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_index"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ParameterError(f"{name} must be an integer, got {v!r}")
-            if not 0 <= v < (1 << 64):
-                raise ParameterError(f"{name} must be in [0, 2^64), got {v}")
+            require_int(name, getattr(self, name), 0, 1 << 64)
 
     def state(self) -> int:
         """64-bit generator state derived from (master_seed, stream_index)."""
@@ -68,11 +64,8 @@ def replication_stream(lambda_index: int, n_index: int, rep_index: int) -> int:
     distinct stream indices: the packing is injective and splitmix64 is a
     bijection.
     """
-    if not 0 <= lambda_index < (1 << 20):
-        raise ParameterError(f"lambda_index out of range: {lambda_index}")
-    if not 0 <= n_index < (1 << 20):
-        raise ParameterError(f"n_index out of range: {n_index}")
-    if not 0 <= rep_index < (1 << 24):
-        raise ParameterError(f"rep_index out of range: {rep_index}")
+    require_int("lambda_index", lambda_index, 0, 1 << 20)
+    require_int("n_index", n_index, 0, 1 << 20)
+    require_int("rep_index", rep_index, 0, 1 << 24)
     packed = (lambda_index << 44) | (n_index << 24) | rep_index
     return splitmix64(packed)

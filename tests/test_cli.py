@@ -287,6 +287,30 @@ class TestErrorHandling:
         )
         assert code == 2
         assert json.loads(err)["error"] == "InconsistentSampleError"
+        # A NaN coordinate or time must not pass as a "not turned" stride.
+        for text in (
+            "i,t,x,y\n0,0,0,0\n1,1,0.5,0\n2,2,nan,0\n3,3,0.5,0.5\n",
+            "i,t,x,y\n0,0,0,0\n1,1,0.5,0\n2,nan,0.5,0.5\n3,3,0.5,1\n",
+        ):
+            path.write_text(text)
+            code, out, err = run_cli(
+                capsys, ["estimate", "--in", str(path), "--c", "1.0"]
+            )
+            assert code == 2, out
+            assert "non-finite" in json.loads(err)["message"]
+
+    def test_ndjson_metadata_mismatch_exits_2(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, SIM_ARGS + ["--format", "ndjson"])
+        assert code == 0
+        record = json.loads(out)
+        path = tmp_path / "sample.ndjson"
+        for field, value in (("speed", 2.0), ("n", 27)):
+            path.write_text(json.dumps(dict(record, **{field: value})) + "\n")
+            code, out, err = run_cli(
+                capsys, ["estimate", "--in", str(path), "--c", "1.0"]
+            )
+            assert code == 2, out
+            assert json.loads(err)["error"] == "ParameterError"
 
     def test_degenerate_estimate_exits_1(self, capsys, tmp_path):
         # A walker reported at the same point every time: every stride is

@@ -61,7 +61,6 @@ class TestIncrementSummary:
         summ = hand_summary()
         expected = math.sqrt(0.75) + math.sqrt(0.64)
         assert summ.sum_sqrt_u_turned == pytest.approx(expected, rel=1e-15)
-        assert summ.sum_sqrt_u_all == pytest.approx(expected, rel=1e-15)
 
     def test_inconsistent_sample_rejected(self):
         params = FlightParams(rate=1.0, speed=1.0)

@@ -141,6 +141,21 @@ class TestNdjson:
         with pytest.raises(ParameterError):
             read_sample_ndjson(io.StringIO("{not json\n"))
 
+    def test_speed_checked_when_given(self):
+        _, sample = make_sample()
+        line = sample_ndjson_line(sample) + "\n"
+        positions, _ = read_sample_ndjson(io.StringIO(line), speed=1.0)
+        assert np.array_equal(positions, sample.positions)
+        with pytest.raises(ParameterError):
+            read_sample_ndjson(io.StringIO(line), speed=2.0)
+
+    def test_rejects_n_mismatch(self):
+        _, sample = make_sample()
+        obj = json.loads(sample_ndjson_line(sample))
+        for n in (sample.n + 1, sample.n - 1):
+            with pytest.raises(ParameterError):
+                read_sample_ndjson(io.StringIO(json.dumps(dict(obj, n=n)) + "\n"))
+
 
 class TestEstimateTables:
     def test_estimates_csv_exact_line(self):
