@@ -21,7 +21,9 @@ the exponent, so the formulas stay finite deep into the diffusive regime
 
 Quadrature uses an adaptive Gauss-Kronrod scheme (QUADPACK via scipy) with
 absolute tolerance 1e-9 and up to 10^4 subdivisions; a failed integration
-raises ``QuadratureError`` carrying the best estimate reached.
+raises ``QuadratureError`` carrying the best estimate reached. The
+modified Bessel function I_nu is summed from its ascending series up to
+x = 30 and taken from ``scipy.special.ive`` above.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import (
     BesselOverflowError,
@@ -62,8 +64,9 @@ _QUAD_EPSABS = 1e-9
 _QUAD_EPSREL = 1e-10
 _QUAD_LIMIT = 10_000
 
-# Crossover between the ascending series and the asymptotic expansion of
-# I_nu; continuity across it is covered by a test.
+# Crossover between the ascending series and scipy's exponentially scaled
+# I_nu (special.ive). The series gives the pinned moment_closed_form values
+# bit for bit, where ive is 3 ulp off at x = 1. A test covers continuity.
 _BESSEL_SWITCH = 30.0
 # Above this argument exp(x) * I_nu(x) is not representable in a double.
 _BESSEL_OVERFLOW = 700.0
@@ -256,44 +259,18 @@ def _bessel_series(nu: float, x: float) -> float:
                           estimate=total)
 
 
-def _bessel_asymptotic_scaled(nu: float, x: float) -> float:
-    """Large-argument expansion of exp(-x) * I_nu(x); accurate for x >= 30.
-
-    The series terminates exactly for half-integer orders; otherwise it is
-    summed until the terms stop shrinking, with the first omitted term
-    (far below 1e-10 relative for x >= 30 and the moderate orders used
-    here) bounding the truncation error.
-    """
-    mu = 4.0 * nu * nu
-    total = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(1, 60):
-        odd = 2.0 * k - 1.0
-        term *= -(mu - odd * odd) / (8.0 * k * x)
-        if term == 0.0:
-            break
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total / math.sqrt(2.0 * math.pi * x)
-
-
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function of the first kind, I_nu(x).
 
-    Ascending series for x <= 30, asymptotic expansion above; relative
-    accuracy 1e-10 or better through x = 700. Beyond that exp(x) overflows
-    a double and ``BesselOverflowError`` carries exp(-x) * I_nu(x) instead.
+    Ascending series for x <= 30, scipy's ``ive`` times exp(x) above,
+    through x = 700. Beyond that exp(x) overflows a double and
+    ``BesselOverflowError`` carries exp(-x) * I_nu(x) instead.
     """
     nu = _check_bessel_order(nu)
     x = require_nonnegative("x", x)
     if x <= _BESSEL_SWITCH:
         return _bessel_series(nu, x)
-    scaled = _bessel_asymptotic_scaled(nu, x)
+    scaled = float(special.ive(nu, x))
     if x > _BESSEL_OVERFLOW:
         raise BesselOverflowError(
             f"I_{nu}({x:g}) overflows double precision; "
@@ -307,7 +284,7 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     x = require_nonnegative("x", x)
     if x <= _BESSEL_SWITCH:
         return _bessel_series(nu, x) * math.exp(-x)
-    return _bessel_asymptotic_scaled(nu, x)
+    return float(special.ive(nu, x))
 
 
 # ---------------------------------------------------------------------------

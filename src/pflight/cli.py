@@ -3,8 +3,8 @@
 Subcommands: simulate, estimate, density, moments, fisher, mc. Tables go
 to --out (default stdout). Validation problems exit with code 2, runtime
 numerical failures with code 1; both print a one-line JSON error record to
-stderr. The PFL_THREADS environment variable (0 = auto) caps Monte Carlo
-worker processes.
+stderr. The PFL_THREADS environment variable (0 = auto) sets the number of
+Monte Carlo worker processes.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (DomainError, InconsistentSampleError, NumericalError, ParameterError,
                      require_positive)
-from .simulate import DiscreteSample, Trajectory
+from .simulate import DiscreteSample, Trajectory, _stride_slack
 
 __all__ = [
     "IncrementSummary",
@@ -84,19 +84,15 @@ class IncrementSummary:
     @classmethod
     def from_positions(cls, positions: np.ndarray, delta: float, speed: float,
                        epsilon: float = DEFAULT_EPSILON) -> "IncrementSummary":
-        positions = np.asarray(positions, dtype=np.float64)
-        if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] < 2:
-            raise ParameterError(
-                f"positions must have shape (n+1, 2) with n >= 1, got {positions.shape}")
         delta = require_positive("delta", delta)
         speed = require_positive("speed", speed)
-        epsilon = check_epsilon(epsilon)
+        slack = _stride_slack(np.asarray(positions, dtype=np.float64), speed, delta)
+        return cls._from_slack(slack, delta, speed, check_epsilon(epsilon))
 
-        stride_sq = (speed * delta) ** 2
-        dx = np.diff(positions[:, 0])
-        dy = np.diff(positions[:, 1])
-        u_raw = stride_sq - (dx * dx + dy * dy)
-        tol = epsilon * stride_sq
+    @classmethod
+    def _from_slack(cls, u_raw: np.ndarray, delta: float, speed: float,
+                    epsilon: float) -> "IncrementSummary":
+        tol = epsilon * (speed * delta) ** 2
         # Written so that a NaN slack (a non-finite position) fails the test.
         if not np.all(u_raw >= -tol):
             worst = float(u_raw.min())
@@ -120,8 +116,8 @@ class IncrementSummary:
 def summarize_increments(sample: DiscreteSample,
                          epsilon: float = DEFAULT_EPSILON) -> IncrementSummary:
     """Sufficient statistics of a simulated or deserialized sample."""
-    return IncrementSummary.from_positions(
-        sample.positions, sample.delta, sample.params.speed, epsilon)
+    return IncrementSummary._from_slack(
+        sample.slack, sample.delta, sample.params.speed, check_epsilon(epsilon))
 
 
 @dataclass(frozen=True)
@@ -176,18 +172,23 @@ def _sampling_stderr(value: float, n: int, delta: float) -> float:
     return math.sqrt(value / (n * delta)) if value > 0.0 else 0.0
 
 
+def _denominator(summary: IncrementSummary, kind: str) -> float:
+    """c n delta - S, shared by the closed forms of pseudo_mle and modified_mle."""
+    denom = summary.speed * summary.n * summary.delta - summary.sum_sqrt_u_turned
+    if denom <= 0.0:
+        raise NumericalError(
+            f"degenerate denominator {denom:.17g} in {kind}", estimate=math.inf)
+    return denom
+
+
 def pseudo_mle(summary: IncrementSummary) -> Estimate:
     """Closed-form root of the score.
 
     Zero when no step turned (the score then has no positive root and the
     pseudo-likelihood is maximized at the boundary).
     """
-    n, delta, c = summary.n, summary.delta, summary.speed
-    denom = c * n * delta - summary.sum_sqrt_u_turned
-    if denom <= 0.0:
-        raise NumericalError(
-            f"degenerate denominator {denom:.17g} in pseudo-MLE", estimate=math.inf)
-    value = c * summary.n_plus / denom
+    n, delta = summary.n, summary.delta
+    value = summary.speed * summary.n_plus / _denominator(summary, "pseudo-MLE")
     return Estimate(value=value, kind="pseudo_mle", n=n, delta=delta,
                     stderr=_sampling_stderr(value, n, delta))
 
@@ -199,12 +200,8 @@ def modified_mle(summary: IncrementSummary) -> Estimate:
     nothing to it. When some step did not turn the assumption is violated;
     the value is still returned with ``condition_warning`` set.
     """
-    n, delta, c = summary.n, summary.delta, summary.speed
-    denom = c * n * delta - summary.sum_sqrt_u_turned
-    if denom <= 0.0:
-        raise NumericalError(
-            f"degenerate denominator {denom:.17g} in modified MLE", estimate=math.inf)
-    value = c * n / denom
+    n, delta = summary.n, summary.delta
+    value = summary.speed * n / _denominator(summary, "modified MLE")
     return Estimate(value=value, kind="modified_mle", n=n, delta=delta,
                     stderr=value / math.sqrt(n),
                     condition_warning=summary.n_plus < n)

@@ -135,34 +135,33 @@ def sample_ndjson_line(sample: DiscreteSample) -> str:
 
 
 def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.ndarray, float]:
-    """Read one discrete-sample record; returns (positions, delta).
+    """Read the one discrete-sample record of a file; returns (positions, delta).
 
-    The record's ``n`` must match its number of positions, and its
+    Blank lines are ignored. The record's ``n`` must match its number of positions, and its
     ``speed`` must equal ``speed`` when the caller gives one.
     """
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"invalid NDJSON record: {exc}") from None
-        if obj.get("type") != "discrete_sample":
-            raise ParameterError(f"expected a discrete_sample record, got {obj.get('type')!r}")
-        try:
-            positions = np.asarray(obj["positions"], dtype=np.float64)
-            delta = float(obj["delta"])
-            n, record_speed = obj["n"], obj["speed"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"malformed discrete_sample record: {exc}") from None
-        if positions.ndim == 0 or n != positions.shape[0] - 1:
-            raise ParameterError(
-                f"record's n = {n!r} does not match its positions of shape {positions.shape}")
-        if speed is not None and record_speed != speed:
-            raise ParameterError(f"record's speed {record_speed!r} differs from {speed!r}")
-        return positions, delta
-    raise ParameterError("no records in NDJSON input")
+    lines = [line for line in map(str.strip, fh) if line]
+    if len(lines) != 1:
+        raise ParameterError(f"expected one discrete_sample record, got {len(lines)} lines")
+    try:
+        obj = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"invalid NDJSON record: {exc}") from None
+    kind = obj.get("type") if isinstance(obj, dict) else type(obj).__name__
+    if kind != "discrete_sample":
+        raise ParameterError(f"expected a discrete_sample record, got {kind!r}")
+    try:
+        positions = np.asarray(obj["positions"], dtype=np.float64)
+        delta = float(obj["delta"])
+        n, record_speed = obj["n"], obj["speed"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed discrete_sample record: {exc}") from None
+    if positions.ndim == 0 or n != positions.shape[0] - 1:
+        raise ParameterError(
+            f"record's n = {n!r} does not match its positions of shape {positions.shape}")
+    if speed is not None and record_speed != speed:
+        raise ParameterError(f"record's speed {record_speed!r} differs from {speed!r}")
+    return positions, delta
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ derived from (master_seed, rate index, n index, replication index) alone.
 Results are assembled into arrays ordered by replication index before any
 aggregation, so the output is byte-identical whatever the worker count or
 scheduling order. Workers are separate processes; the ``PFL_THREADS``
-environment variable (0 = auto) caps them when the caller does not pass an
-explicit count.
+environment variable (0 = auto) sets their number when the caller does not
+pass an explicit count.
 
 Failed replications (an estimator raising ``NumericalError``) and
 saturated indicator estimates are excluded from the moments and counted in
@@ -74,11 +74,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         lams = tuple(require_positive("lambda_grid value", v) for v in self.lambda_grid)
-        if not lams:
-            raise ParameterError("lambda_grid must not be empty")
-        ns = tuple(int(v) for v in self.n_grid)
-        if not ns or any(v < 1 for v in ns) or any(int(v) != v for v in self.n_grid):
-            raise ParameterError(f"n_grid must be non-empty integers >= 1, got {self.n_grid}")
+        ns = tuple(require_int("n_grid value", v) for v in self.n_grid)
+        if not lams or not ns:
+            raise ParameterError("lambda_grid and n_grid must not be empty")
         names = tuple(estimator_name(e) for e in self.estimators)
         if not names:
             raise ParameterError("estimators must not be empty")
@@ -201,7 +199,7 @@ def summarize(values: np.ndarray, rate: float, n: int, estimator_kind: str,
 
 
 def resolve_worker_count(workers: int | None = None) -> int:
-    """Explicit count, else PFL_THREADS, else one worker per CPU (0 = auto)."""
+    """Explicit count, else the count PFL_THREADS sets, else one per CPU (0 = auto)."""
     if workers is None:
         raw = os.environ.get("PFL_THREADS", "").strip()
         if raw == "":

@@ -19,7 +19,7 @@ closed disc of radius c * t around the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,29 +102,43 @@ class Trajectory:
         return self.params.speed * float(np.sum(np.diff(self.knots())))
 
 
+def _stride_slack(pos: np.ndarray, speed: float, delta: float) -> np.ndarray:
+    """Each stride's squared slack (speed*delta)^2 - |P_i - P_{i-1}|^2, positions float64."""
+    if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
+        raise ParameterError(f"positions must have shape (n+1, 2) with n >= 1, got {pos.shape}")
+    if not speed * delta < 1e154:
+        raise ParameterError(f"speed*delta = {speed * delta:.17g} must be below 1e154 to square")
+    dx = np.diff(pos[:, 0])
+    dy = np.diff(pos[:, 1])
+    return (speed * delta) ** 2 - (dx * dx + dy * dy)
+
+
 @dataclass(frozen=True)
 class DiscreteSample:
-    """Positions observed on the equidistant grid 0, delta, ..., n * delta."""
+    """Positions observed on the grid 0, delta, ..., n * delta, with each stride's slack."""
 
     params: FlightParams
     delta: float
     positions: np.ndarray
+    slack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", require_positive("delta", self.delta))
         pos = np.asarray(self.positions, dtype=np.float64)
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
-            raise ParameterError(f"positions must have shape (n+1, 2) with n >= 1, got {pos.shape}")
+        speed = self.params.speed
+        slack = _stride_slack(pos, speed, self.delta)
         if tuple(pos[0]) != self.params.origin:
             raise ParameterError("positions[0] must equal the origin")
-        steps = np.hypot(np.diff(pos[:, 0]), np.diff(pos[:, 1]))
-        bound = self.params.speed * self.delta * (1.0 + 1e-9)
-        if not np.all(steps <= bound):
-            worst = float(steps.max())
+        # Steps of at most speed*delta*(1 + 1e-9); a NaN slack fails the test.
+        stride_sq = (speed * self.delta) ** 2
+        bound = speed * self.delta * (1.0 + 1e-9)
+        if not np.all(slack >= stride_sq - bound * bound):
+            worst = math.sqrt(stride_sq - float(slack.min()))
             raise ParameterError(
                 f"step displacement {worst:.17g} is non-finite or exceeds "
                 f"speed*delta={bound:.17g}")
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "slack", slack)
 
     @property
     def n(self) -> int:

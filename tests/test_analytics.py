@@ -241,6 +241,11 @@ class TestBesselI:
             )
             assert bessel_i(1.5, x) == pytest.approx(ref, rel=1e-12)
 
+    def test_tail_is_scipy_ive(self):
+        for nu in self.ORDERS:
+            for x in (30.0 + 1e-9, 30.1, 50.0, 200.0, 699.0, 701.0, 1e4):
+                assert bessel_i_scaled(nu, x) == special.ive(nu, x), (nu, x)
+
     def test_series_asymptotic_crossover_continuous(self):
         for nu in (0.0, 1.5, 5.0):
             lo = bessel_i_scaled(nu, 30.0 - 1e-9)

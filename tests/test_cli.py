@@ -312,6 +312,38 @@ class TestErrorHandling:
             assert code == 2, out
             assert json.loads(err)["error"] == "ParameterError"
 
+    def test_concatenated_ndjson_records_exit_2(self, capsys, tmp_path):
+        records = []
+        for seed in ("1", "2"):
+            args = SIM_ARGS[:-1] + [seed, "--format", "ndjson"]
+            code, out, _ = run_cli(capsys, args)
+            assert code == 0
+            records.append(out)
+        path = tmp_path / "one.ndjson"
+        path.write_text(records[0])
+        code, _, _ = run_cli(capsys, ["estimate", "--in", str(path), "--c", "1.0"])
+        assert code == 0
+        path = tmp_path / "two.ndjson"
+        path.write_text(records[0] + records[1])
+        code, out, err = run_cli(capsys, ["estimate", "--in", str(path), "--c", "1.0"])
+        assert code == 2, out
+        record = json.loads(err)
+        assert record["error"] == "ParameterError"
+        assert "expected one discrete_sample record" in record["message"]
+
+    def test_unsquarable_stride_exits_2(self, capsys, tmp_path):
+        # (c * delta)^2 overflows a double: a clean error, not a traceback.
+        args = ["simulate", "--lambda", "1.0", "--c", "1e160", "--T", "10.0",
+                "--n", "20", "--seed", "1"]
+        code, _, err = run_cli(capsys, args)
+        assert code == 2
+        assert "below 1e154" in json.loads(err)["message"]
+        path = tmp_path / "s.csv"
+        path.write_text("i,t,x,y\n0,0,0,0\n1,1,1e159,0\n")
+        code, _, err = run_cli(capsys, ["estimate", "--in", str(path), "--c", "1e160"])
+        assert code == 2
+        assert "below 1e154" in json.loads(err)["message"]
+
     def test_degenerate_estimate_exits_1(self, capsys, tmp_path):
         # A walker reported at the same point every time: every stride is
         # a full-shortfall turn and the pseudo estimator's denominator is

@@ -149,6 +149,21 @@ class TestNdjson:
         with pytest.raises(ParameterError):
             read_sample_ndjson(io.StringIO(line), speed=2.0)
 
+    def test_rejects_more_than_one_record(self):
+        _, sample = make_sample()
+        line = sample_ndjson_line(sample) + "\n"
+        for text in (line + line, line + "\n{}\n", line + "x\n"):
+            with pytest.raises(ParameterError, match="expected one discrete_sample record"):
+                read_sample_ndjson(io.StringIO(text))
+        # Blank lines around the one record are ignored.
+        positions, _ = read_sample_ndjson(io.StringIO("\n" + line + "\n  \n"))
+        assert np.array_equal(positions, sample.positions)
+
+    def test_rejects_non_object_record(self):
+        for text in ("[1, 2]\n", "3\n", '"discrete_sample"\n'):
+            with pytest.raises(ParameterError, match="expected a discrete_sample record"):
+                read_sample_ndjson(io.StringIO(text))
+
     def test_rejects_n_mismatch(self):
         _, sample = make_sample()
         obj = json.loads(sample_ndjson_line(sample))

@@ -91,6 +91,13 @@ class TestConfig:
         with pytest.raises(ParameterError):
             small_config(master_seed=-1)
 
+    def test_n_grid_values_must_be_integers(self):
+        # The same rule as reps: no bools, no floats, even integral ones.
+        for n_grid in ((True,), (200.0,), (50, 1.5), ()):
+            with pytest.raises(ParameterError, match="n_grid"):
+                small_config(n_grid=n_grid)
+        assert small_config(n_grid=(np.int64(50), 100)).n_grid == (50, 100)
+
 
 class TestWorkerCount:
     def test_explicit_wins(self):

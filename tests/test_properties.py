@@ -1,10 +1,12 @@
-"""Property tests: invariances and identities of the estimators.
+"""Property tests: invariances and identities of the estimators, and exact
+serialization round-trips.
 
-Examples are simulated flights, so every stride is consistent with the
-claimed speed. Runs are derandomized, so the suite draws the same
+Estimator examples are simulated flights, so every stride is consistent
+with the claimed speed. Runs are derandomized, so the suite draws the same
 examples every time.
 """
 
+import io
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pflight import (
+    DiscreteSample,
     FlightParams,
     IncrementSummary,
     SeedSpec,
@@ -22,23 +25,30 @@ from pflight import (
     sample_at_grid,
     score,
     simulate_trajectory,
+    summarize_increments,
 )
+from pflight.io import (positions_csv_lines, read_positions_csv, read_sample_ndjson,
+                        sample_ndjson_line)
 
 ESTIMATORS = (pseudo_mle, modified_mle, indicator_estimate)
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def records(draw):
-    """(positions, delta, speed) of a simulated flight observed on a grid."""
+def samples(draw, origin=st.just((0.0, 0.0))):
+    """A simulated flight observed on a grid."""
     rate = draw(st.floats(0.05, 3.0))
     speed = draw(st.floats(0.5, 4.0))
     n = draw(st.integers(5, 300))
     delta = draw(st.floats(0.05, 3.0))
     seed = draw(st.integers(0, 2**32 - 1))
-    traj = simulate_trajectory(FlightParams(rate=rate, speed=speed), n * delta, SeedSpec(seed))
-    sample = sample_at_grid(traj, n)
-    return sample.positions, sample.delta, speed
+    params = FlightParams(rate=rate, speed=speed, origin=draw(origin))
+    return sample_at_grid(simulate_trajectory(params, n * delta, SeedSpec(seed)), n)
+
+
+def records():
+    """(positions, delta, speed) of a simulated flight observed on a grid."""
+    return samples().map(lambda sample: (sample.positions, sample.delta, sample.params.speed))
 
 
 def values(positions, delta, speed):
@@ -95,3 +105,51 @@ def test_closed_forms_on_the_single_slack_sum(record):
     assume(c * n * delta - s > 0.0)
     assert pseudo_mle(summary).value == c * summary.n_plus / (c * n * delta - s)
     assert modified_mle(summary).value == c * n / (c * n * delta - s)
+
+
+@PROPERTY
+@given(samples(origin=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))),
+       st.sampled_from((1e-9, 1e-6, 1e-3)))
+def test_sample_and_position_summaries_agree_bit_for_bit(sample, epsilon):
+    # The Monte Carlo path reads the sample's slack; the CLI path differences
+    # raw positions. Both must give the same statistics to the bit.
+    a = summarize_increments(sample, epsilon)
+    b = IncrementSummary.from_positions(sample.positions, sample.delta, sample.params.speed,
+                                        epsilon)
+    assert a.u.tobytes() == b.u.tobytes()
+    assert np.array_equal(a.turned, b.turned)
+    assert (a.n, a.n_plus) == (b.n, b.n_plus)
+    assert a.sum_sqrt_u_turned == b.sum_sqrt_u_turned
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(FINITE, FINITE), min_size=2, max_size=40), st.floats(1e-3, 1e3))
+def test_csv_round_trip_is_exact(rows, delta):
+    positions = np.array(rows, dtype=np.float64)
+    times = np.arange(len(rows)) * delta
+    text = "\n".join(positions_csv_lines(times, positions)) + "\n"
+    back, back_delta = read_positions_csv(io.StringIO(text))
+    assert back.tobytes() == positions.tobytes()
+    assert back_delta == delta
+
+
+# Bounded so that squared strides stay finite; subnormals are included.
+BOUNDED = st.floats(-1e150, 1e150)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(BOUNDED, BOUNDED), min_size=2, max_size=40), st.floats(1e-3, 1e3))
+def test_ndjson_round_trip_is_exact(rows, delta):
+    positions = np.array(rows, dtype=np.float64)
+    step = float(np.max(np.hypot(*np.diff(positions, axis=0).T)))
+    speed = 2.0 * step / delta + 1.0
+    params = FlightParams(rate=1.0, speed=speed, origin=tuple(positions[0]))
+    line = sample_ndjson_line(DiscreteSample(params, delta, positions))
+    back, back_delta = read_sample_ndjson(io.StringIO(line + "\n"), speed=speed)
+    # JSON reads "-0" as the integer 0, so -0.0 comes back as 0.0; adding
+    # 0.0 maps -0.0 to 0.0 and leaves every other value's bits alone.
+    assert back.tobytes() == (positions + 0.0).tobytes()
+    assert back_delta == delta

@@ -218,6 +218,27 @@ class TestDiscreteSample:
         with pytest.raises(ParameterError):
             DiscreteSample(params, 0.0, good)
 
+    def test_non_finite_position_rejected(self):
+        # A non-finite position away from the origin row fails the step test.
+        params = FlightParams(rate=1.0, speed=1.0)
+        for bad in ([0.5, math.nan], [math.nan, 0.0], [math.inf, 0.0]):
+            pos = np.array([[0.0, 0.0], [0.5, 0.0], bad, [0.5, 0.5]])
+            with pytest.raises(ParameterError, match="non-finite"):
+                DiscreteSample(params, 1.0, pos)
+
+    def test_step_bound_on_squared_slack(self):
+        # Steps may exceed speed*delta by a relative 1e-9, no more.
+        params = FlightParams(rate=1.0, speed=2.0)
+        DiscreteSample(params, 0.5, np.array([[0.0, 0.0], [1.0 + 5e-10, 0.0]]))
+        with pytest.raises(ParameterError, match="exceeds"):
+            DiscreteSample(params, 0.5, np.array([[0.0, 0.0], [1.0 + 2e-9, 0.0]]))
+
+    def test_slack_per_stride(self):
+        params = FlightParams(rate=1.0, speed=1.0)
+        sample = DiscreteSample(params, 1.0, [[0.0, 0.0], [0.5, 0.0], [0.5, 0.25]])
+        assert sample.slack.tolist() == [0.75, 0.9375]
+        assert sample == DiscreteSample(params, 1.0, sample.positions)
+
     def test_n_property(self):
         params = FlightParams(rate=1.0, speed=1.0)
         sample = DiscreteSample(
