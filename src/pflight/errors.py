@@ -15,6 +15,16 @@ from __future__ import annotations
 import math
 from numbers import Integral, Real
 
+__all__ = [
+    "ParameterError",
+    "DomainError",
+    "InconsistentSampleError",
+    "NumericalError",
+    "QuadratureError",
+    "EmptyCellError",
+    "BesselOverflowError",
+]
+
 
 class ParameterError(ValueError):
     """A parameter violates its documented constraint (e.g. rate <= 0)."""

@@ -31,6 +31,12 @@ def fmt_raw(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def fmt_json(x: float) -> str:
+    """``fmt_raw`` for NDJSON, where "-0" would read back as the integer 0."""
+    s = format(float(x), ".17g")
+    return "-0.0" if s == "-0" else s
+
+
 def fmt_summary(x: float) -> str:
     return format(float(x), ".6g")
 
@@ -107,18 +113,18 @@ def read_positions_csv(fh: TextIO) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 def _json_pair(x: float, y: float) -> str:
-    return f"[{fmt_raw(x)},{fmt_raw(y)}]"
+    return f"[{fmt_json(x)},{fmt_json(y)}]"
 
 
 def _json_array(values: Iterable[float]) -> str:
-    return "[" + ",".join(fmt_raw(v) for v in values) + "]"
+    return "[" + ",".join(fmt_json(v) for v in values) + "]"
 
 
 def trajectory_ndjson_line(traj: Trajectory) -> str:
     p = traj.params
     return ("{"
-            f'"type":"trajectory","rate":{fmt_raw(p.rate)},"speed":{fmt_raw(p.speed)},'
-            f'"origin":{_json_pair(*p.origin)},"horizon":{fmt_raw(traj.horizon)},'
+            f'"type":"trajectory","rate":{fmt_json(p.rate)},"speed":{fmt_json(p.speed)},'
+            f'"origin":{_json_pair(*p.origin)},"horizon":{fmt_json(traj.horizon)},'
             f'"event_times":{_json_array(traj.event_times)},'
             f'"directions":{_json_array(traj.directions)}'
             "}")
@@ -128,8 +134,8 @@ def sample_ndjson_line(sample: DiscreteSample) -> str:
     p = sample.params
     pos = ",".join(_json_pair(x, y) for x, y in sample.positions)
     return ("{"
-            f'"type":"discrete_sample","rate":{fmt_raw(p.rate)},"speed":{fmt_raw(p.speed)},'
-            f'"origin":{_json_pair(*p.origin)},"delta":{fmt_raw(sample.delta)},'
+            f'"type":"discrete_sample","rate":{fmt_json(p.rate)},"speed":{fmt_json(p.speed)},'
+            f'"origin":{_json_pair(*p.origin)},"delta":{fmt_json(sample.delta)},'
             f'"n":{sample.n},"positions":[{pos}]'
             "}")
 
@@ -204,6 +210,6 @@ def raw_ndjson_lines(outcome) -> Iterator[str]:
                     elif math.isinf(v):
                         fields.append(f'"{kind}":{{"value":null,"saturated":true}}')
                     else:
-                        fields.append(f'"{kind}":{{"value":{fmt_raw(v)}}}')
-                yield ("{" + f'"lambda":{fmt_raw(rate)},"n":{n},"rep":{rep},'
+                        fields.append(f'"{kind}":{{"value":{fmt_json(v)}}}')
+                yield ("{" + f'"lambda":{fmt_json(rate)},"n":{n},"rep":{rep},'
                        + ",".join(fields) + "}")

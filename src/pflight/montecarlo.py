@@ -55,7 +55,6 @@ __all__ = [
     "resolve_worker_count",
     "config_from_json",
     "config_to_json",
-    "ESTIMATOR_KINDS",
 ]
 
 
@@ -80,8 +79,10 @@ class ExperimentConfig:
         names = tuple(estimator_name(e) for e in self.estimators)
         if not names:
             raise ParameterError("estimators must not be empty")
-        if len(set(names)) != len(names):
-            raise ParameterError(f"duplicate estimators in {self.estimators}")
+        # On converted values, so that 1 and 1.0 are the same grid value.
+        for field, values in (("lambda_grid", lams), ("n_grid", ns), ("estimators", names)):
+            if len(set(values)) != len(values):
+                raise ParameterError(f"duplicate values in {field}: {getattr(self, field)}")
         checked = {
             "lambda_grid": lams,
             "n_grid": ns,

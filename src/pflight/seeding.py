@@ -24,6 +24,8 @@ import numpy as np
 
 from .errors import require_int
 
+__all__ = ["SeedSpec", "replication_stream", "splitmix64"]
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -174,56 +174,54 @@ def simulate_trajectory(params: FlightParams, horizon: float,
 
 
 def position_at(traj: Trajectory, t: float) -> tuple[float, float]:
-    """Exact position at time t, from the segment-sum formula."""
+    """Exact position at time t; equal to ``sample_at_grid``'s row at the same time."""
     t = float(t)
     if not 0.0 <= t <= traj.horizon:
         raise ParameterError(f"t must lie in [0, {traj.horizon}], got {t}")
-    seg = np.diff(np.minimum(traj.knots(), t))
-    c = traj.params.speed
-    ox, oy = traj.params.origin
-    x = ox + c * float(np.dot(seg, np.cos(traj.directions)))
-    y = oy + c * float(np.dot(seg, np.sin(traj.directions)))
-    return (x, y)
+    x, y = _positions(traj, np.array([t]))[0]
+    return (float(x), float(y))
 
 
 def _grid(horizon: float, n: int) -> np.ndarray:
     return np.linspace(0.0, horizon, n + 1)
 
 
-def sample_at_grid(traj: Trajectory, n: int) -> DiscreteSample:
-    """Observe the trajectory at times i * horizon / n for i = 0..n.
+def _positions(traj: Trajectory, times: np.ndarray) -> np.ndarray:
+    """Positions at ``times`` (float64, in [0, horizon]), overwriting ``times``.
 
-    One vectorized pass over the merged event/grid times; agrees with
-    ``position_at`` at every grid point to floating-point accuracy.
+    With k the segment holding each time and rem the time since it started,
+    a position is o + c * (cum[k] + rem * trig[k]), where cum is the prefix
+    sum of the segments' unit displacements.
     """
-    n = require_int("n", n)
-    grid = _grid(traj.horizon, n)
-    events = traj.event_times
-    c = traj.params.speed
-    ox, oy = traj.params.origin
-
     knots = traj.knots()
-    starts = knots[:-1]
     seg_dt = np.diff(knots)
-    cos_d = np.cos(traj.directions)
-    sin_d = np.sin(traj.directions)
-    cum_x = np.concatenate(([0.0], np.cumsum(seg_dt * cos_d)))
-    cum_y = np.concatenate(([0.0], np.cumsum(seg_dt * sin_d)))
-
-    k = np.searchsorted(events, grid, side="right")
-    rem = np.subtract(grid, starts[k], out=grid)
-    pos = np.empty((grid.size, 2), dtype=np.float64)
-    # o + c * (cum[k] + rem * trig[k]), evaluated in place, with the index
-    # arrays freed before DiscreteSample validates: at n = 200,000 this cuts
-    # the page faults of a Monte Carlo replication by about two thirds.
-    for col, o, cum, trig in ((0, ox, cum_x, cos_d), (1, oy, cum_y, sin_d)):
+    # Per-segment arrays first, then per-time ones evaluated in place and freed
+    # on return, before a caller's DiscreteSample validates: at n = 200,000 this
+    # cuts the page faults of a replication by about two thirds (building cum
+    # inside the loop instead costs 1.8 times the faults).
+    trigs = (np.cos(traj.directions), np.sin(traj.directions))
+    cums = [np.concatenate(([0.0], np.cumsum(seg_dt * trig))) for trig in trigs]
+    k = np.searchsorted(traj.event_times, times, side="right")
+    rem = np.subtract(times, knots[k], out=times)
+    pos = np.empty((times.size, 2), dtype=np.float64)
+    for col, (o, trig, cum) in enumerate(zip(traj.params.origin, trigs, cums)):
         v = trig[k]
         v *= rem
         v += cum[k]
-        v *= c
+        v *= traj.params.speed
         v += o
         pos[:, col] = v
-    del k, rem, grid, v
+    return pos
+
+
+def sample_at_grid(traj: Trajectory, n: int) -> DiscreteSample:
+    """Observe the trajectory at times i * horizon / n for i = 0..n.
+
+    One vectorized pass over the grid; equal to ``position_at`` at every
+    grid point, bit for bit.
+    """
+    n = require_int("n", n)
+    pos = _positions(traj, _grid(traj.horizon, n))
     return DiscreteSample(params=traj.params, delta=traj.horizon / n, positions=pos)
 
 
@@ -234,14 +232,7 @@ def vertex_positions(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     and for serializing a trajectory as position rows.
     """
     knots = traj.knots()
-    seg_dt = np.diff(knots)
-    c = traj.params.speed
-    ox, oy = traj.params.origin
-    pos = np.empty((knots.size, 2), dtype=np.float64)
-    pos[0] = (ox, oy)
-    pos[1:, 0] = ox + c * np.cumsum(seg_dt * np.cos(traj.directions))
-    pos[1:, 1] = oy + c * np.cumsum(seg_dt * np.sin(traj.directions))
-    return knots, pos
+    return knots, _positions(traj, knots.copy())
 
 
 def ground_truth_counts(traj: Trajectory, n: int) -> np.ndarray:

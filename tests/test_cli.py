@@ -266,6 +266,17 @@ class TestMonteCarloCommand:
         assert code == 2
         assert json.loads(err)["error"] == "ParameterError"
 
+    def test_duplicate_grid_values_exit_2(self, capsys, tmp_path):
+        # Two cells with the same key would write colliding summary rows.
+        path = tmp_path / "config.json"
+        for field, grid in (("lambda_grid", [1.0, 1.0]), ("n_grid", [20, 20])):
+            path.write_text(json.dumps(dict(self.CONFIG, **{field: grid})))
+            code, out, err = run_cli(capsys, ["mc", "--config", str(path)])
+            assert code == 2, out
+            record = json.loads(err)
+            assert record["error"] == "ParameterError"
+            assert f"duplicate values in {field}" in record["message"]
+
 
 class TestErrorHandling:
     def test_bad_parameter_exits_2(self, capsys):

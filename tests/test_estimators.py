@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import pflight
 from pflight import (
     DiscreteSample,
     DomainError,
@@ -306,3 +307,29 @@ class TestPoissonMle:
         assert est.stderr == pytest.approx(
             math.sqrt(est.value / 30.0), rel=1e-12
         )
+
+
+class TestPackageExports:
+    # The names the package exported before __all__ was built from its
+    # modules' lists; none may go missing.
+    EARLIER = (
+        "BesselOverflowError DensityValue DiscreteSample DomainError ESTIMATOR_KINDS "
+        "EmptyCellError Estimate ExperimentConfig ExperimentOutcome ExperimentSummary "
+        "FisherInfo FlightParams InconsistentSampleError IncrementSummary NumericalError "
+        "ParameterError QuadratureError ReplicationResult SeedSpec Trajectory bessel_i "
+        "bessel_i_scaled bessel_limit_density config_from_json config_to_json "
+        "cramer_rao_bound fisher_info ground_truth_counts indicator_estimate modified_mle "
+        "moment_closed_form moment_quadrature planar_density_ac poisson_mle position_at "
+        "pseudo_likelihood_ratio pseudo_log_likelihood pseudo_mle radial_density_offset "
+        "radial_density_origin replication_stream resolve_worker_count run_experiment "
+        "run_replication sample_at_grid score simulate_trajectory splitmix64 summarize "
+        "summarize_increments vertex_positions"
+    ).split()
+    REGISTRY = ["ESTIMATORS", "DEFAULT_EPSILON", "check_epsilon", "estimator_name"]
+
+    def test_all_is_the_earlier_names_plus_the_registry(self):
+        assert len(self.EARLIER) == 51
+        assert len(pflight.__all__) == len(set(pflight.__all__))
+        assert sorted(pflight.__all__) == sorted(self.EARLIER + self.REGISTRY)
+        for name in pflight.__all__:
+            assert getattr(pflight, name) is not None

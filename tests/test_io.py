@@ -11,6 +11,7 @@ from pflight import (
     DiscreteSample,
     Estimate,
     ExperimentConfig,
+    ExperimentOutcome,
     FlightParams,
     ParameterError,
     SeedSpec,
@@ -127,6 +128,20 @@ class TestNdjson:
         assert obj["rate"] == 1.0
         assert len(obj["event_times"]) == traj.event_count
         assert len(obj["directions"]) == traj.event_count + 1
+
+    def test_signed_zeros_survive(self):
+        # JSON reads "-0" as the integer 0, so every NDJSON writer keeps -0.0's fraction.
+        params = FlightParams(rate=1.0, speed=1.0, origin=(-0.0, 0.0))
+        traj = simulate_trajectory(params, 5.0, SeedSpec(3))
+        assert math.copysign(1.0, json.loads(trajectory_ndjson_line(traj))["origin"][0]) < 0
+        sample = DiscreteSample(params, 1.0, np.array([[-0.0, 0.0], [-0.0, -0.5]]))
+        positions, _ = read_sample_ndjson(io.StringIO(sample_ndjson_line(sample)))
+        assert positions.tobytes() == sample.positions.tobytes()
+        cfg = ExperimentConfig(lambda_grid=(1.0,), n_grid=(20,), horizon=50.0, reps=1,
+                               master_seed=5, estimators=("dot",))
+        outcome = ExperimentOutcome(cfg, (), {(0, 0, "dot"): np.array([-0.0])})
+        value = json.loads(next(raw_ndjson_lines(outcome)))["indicator"]["value"]
+        assert math.copysign(1.0, value) < 0 and isinstance(value, float)
 
     def test_rejects_wrong_type(self):
         traj, _ = make_sample()

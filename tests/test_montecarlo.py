@@ -98,6 +98,13 @@ class TestConfig:
                 small_config(n_grid=n_grid)
         assert small_config(n_grid=(np.int64(50), 100)).n_grid == (50, 100)
 
+    def test_duplicate_grid_values_rejected(self):
+        # Compared after conversion: 1 and 1.0 are the same rate.
+        for field, grid in (("lambda_grid", (1.0, 1.0)), ("lambda_grid", (1, 0.5, 1.0)),
+                            ("n_grid", (50, 100, 50)), ("n_grid", (np.int64(50), 50))):
+            with pytest.raises(ParameterError, match=f"duplicate values in {field}"):
+                small_config(**{field: grid})
+
 
 class TestWorkerCount:
     def test_explicit_wins(self):

@@ -21,11 +21,13 @@ from pflight import (
     SeedSpec,
     indicator_estimate,
     modified_mle,
+    position_at,
     pseudo_mle,
     sample_at_grid,
     score,
     simulate_trajectory,
     summarize_increments,
+    vertex_positions,
 )
 from pflight.io import (positions_csv_lines, read_positions_csv, read_sample_ndjson,
                         sample_ndjson_line)
@@ -35,15 +37,23 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def samples(draw, origin=st.just((0.0, 0.0))):
-    """A simulated flight observed on a grid."""
+def flights(draw, origin=st.just((0.0, 0.0))):
+    """A simulated flight and the number of grid steps to observe it on."""
     rate = draw(st.floats(0.05, 3.0))
     speed = draw(st.floats(0.5, 4.0))
     n = draw(st.integers(5, 300))
     delta = draw(st.floats(0.05, 3.0))
     seed = draw(st.integers(0, 2**32 - 1))
     params = FlightParams(rate=rate, speed=speed, origin=draw(origin))
-    return sample_at_grid(simulate_trajectory(params, n * delta, SeedSpec(seed)), n)
+    return simulate_trajectory(params, n * delta, SeedSpec(seed)), n
+
+
+def samples(origin=st.just((0.0, 0.0))):
+    """A simulated flight observed on a grid."""
+    return flights(origin).map(lambda flight: sample_at_grid(*flight))
+
+
+ORIGINS = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
 
 
 def records():
@@ -82,6 +92,24 @@ def test_rotation_and_translation_invariance(record, angle, tx, ty):
 
 
 @PROPERTY
+@given(records(), st.integers(-8, 8), st.floats(1e-3, 1e3))
+def test_scale_invariance(record, k, scale):
+    # Positions and speed times s, delta fixed. A power of two scales every
+    # slack exactly, so n_plus and the estimates keep their bits (repr tells
+    # every float64 apart, -0.0 from 0.0 too).
+    positions, delta, speed = record
+    n_plus, base = values(positions, delta, speed)
+    exact = values(positions * 2.0**k, delta, speed * 2.0**k)
+    assert repr(exact) == repr((n_plus, base))
+    scaled_n_plus, got = values(positions * scale, delta, speed * scale)
+    assert scaled_n_plus == n_plus
+    for a, b in zip(base, got):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert b == pytest.approx(a, rel=1e-12, abs=0.0)
+
+
+@PROPERTY
 @given(records())
 def test_score_vanishes_at_pseudo_mle(record):
     summary = IncrementSummary.from_positions(*record)
@@ -108,7 +136,7 @@ def test_closed_forms_on_the_single_slack_sum(record):
 
 
 @PROPERTY
-@given(samples(origin=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))),
+@given(samples(origin=ORIGINS),
        st.sampled_from((1e-9, 1e-6, 1e-3)))
 def test_sample_and_position_summaries_agree_bit_for_bit(sample, epsilon):
     # The Monte Carlo path reads the sample's slack; the CLI path differences
@@ -120,6 +148,20 @@ def test_sample_and_position_summaries_agree_bit_for_bit(sample, epsilon):
     assert np.array_equal(a.turned, b.turned)
     assert (a.n, a.n_plus) == (b.n, b.n_plus)
     assert a.sum_sqrt_u_turned == b.sum_sqrt_u_turned
+
+
+@PROPERTY
+@given(flights(origin=ORIGINS))
+def test_one_position_formula(flight):
+    # sample_at_grid observes at np.linspace(0, horizon, n + 1); position_at
+    # and vertex_positions must give the same bits at the same times.
+    traj, n = flight
+    grid = np.linspace(0.0, traj.horizon, n + 1)
+    at_grid = np.array([position_at(traj, t) for t in grid])
+    assert at_grid.tobytes() == sample_at_grid(traj, n).positions.tobytes()
+    knots, vertices = vertex_positions(traj)
+    at_knots = np.array([position_at(traj, t) for t in knots])
+    assert at_knots.tobytes() == vertices.tobytes()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -149,7 +191,5 @@ def test_ndjson_round_trip_is_exact(rows, delta):
     params = FlightParams(rate=1.0, speed=speed, origin=tuple(positions[0]))
     line = sample_ndjson_line(DiscreteSample(params, delta, positions))
     back, back_delta = read_sample_ndjson(io.StringIO(line + "\n"), speed=speed)
-    # JSON reads "-0" as the integer 0, so -0.0 comes back as 0.0; adding
-    # 0.0 maps -0.0 to 0.0 and leaves every other value's bits alone.
-    assert back.tobytes() == (positions + 0.0).tobytes()
+    assert back.tobytes() == positions.tobytes()
     assert back_delta == delta
