@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (DomainError, InconsistentSampleError, NumericalError, ParameterError,
                      require_positive)
-from .simulate import DiscreteSample, Trajectory, _stride_slack
+from .simulate import DiscreteSample, Trajectory, _record_slack
 
 __all__ = [
     "IncrementSummary",
@@ -86,31 +86,36 @@ class IncrementSummary:
                        epsilon: float = DEFAULT_EPSILON) -> "IncrementSummary":
         delta = require_positive("delta", delta)
         speed = require_positive("speed", speed)
-        slack = _stride_slack(np.asarray(positions, dtype=np.float64), speed, delta)
+        slack = _record_slack(np.asarray(positions, dtype=np.float64), speed, delta)
         return cls._from_slack(slack, delta, speed, check_epsilon(epsilon))
 
     @classmethod
     def _from_slack(cls, u_raw: np.ndarray, delta: float, speed: float,
                     epsilon: float) -> "IncrementSummary":
-        tol = epsilon * (speed * delta) ** 2
-        # Written so that a NaN slack (a non-finite position) fails the test.
-        if not np.all(u_raw >= -tol):
-            worst = float(u_raw.min())
-            raise InconsistentSampleError(
-                f"slack {worst:.17g} is non-finite or below -epsilon*(speed*delta)^2 = "
-                f"{-tol:.17g}; an increment is non-finite or longer than one stride")
-        u = np.maximum(u_raw, 0.0)
-        turned = u_raw > tol
-        return cls(
-            n=int(u.size),
-            delta=delta,
-            speed=speed,
-            epsilon=epsilon,
-            u=u,
-            turned=turned,
-            n_plus=int(np.count_nonzero(turned)),
-            sum_sqrt_u_turned=float(np.sum(np.sqrt(u[turned]))),
-        )
+        turned, n_plus, s = _classify(u_raw[None], delta, speed, epsilon)
+        return cls(n=int(u_raw.size), delta=delta, speed=speed, epsilon=epsilon,
+                   u=np.maximum(u_raw, 0.0), turned=turned[0], n_plus=int(n_plus[0]),
+                   sum_sqrt_u_turned=float(s[0]))
+
+
+def _classify(u_raw: np.ndarray, delta: float, speed: float,
+              epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's turned strides (slack > epsilon*(speed*delta)^2), n_plus and S."""
+    tol = epsilon * (speed * delta) ** 2
+    # Written so that a NaN slack (a non-finite position) fails the test.
+    if not np.all(u_raw >= -tol):
+        worst = float(u_raw.min())
+        raise InconsistentSampleError(
+            f"slack {worst:.17g} is non-finite or below -epsilon*(speed*delta)^2 = "
+            f"{-tol:.17g}; an increment is non-finite or longer than one stride")
+    turned = u_raw > tol
+    n_plus = turned.sum(axis=1)
+    roots = u_raw[turned]
+    np.sqrt(roots, out=roots)
+    # One sum per row keeps np.sum's pairwise order; a masked row-wise sum does not.
+    ends = np.add.accumulate(n_plus).tolist()
+    s = np.array([np.add.reduce(roots[end - m:end]) for end, m in zip(ends, n_plus.tolist())])
+    return turned, n_plus, s
 
 
 def summarize_increments(sample: DiscreteSample,
@@ -172,13 +177,30 @@ def _sampling_stderr(value: float, n: int, delta: float) -> float:
     return math.sqrt(value / (n * delta)) if value > 0.0 else 0.0
 
 
-def _denominator(summary: IncrementSummary, kind: str) -> float:
-    """c n delta - S, shared by the closed forms of pseudo_mle and modified_mle."""
-    denom = summary.speed * summary.n * summary.delta - summary.sum_sqrt_u_turned
-    if denom <= 0.0:
-        raise NumericalError(
-            f"degenerate denominator {denom:.17g} in {kind}", estimate=math.inf)
-    return denom
+# Closed forms over (n_plus, S, n, delta, c) of one record or arrays of them; NaN = failed.
+def _hat(n_plus, s, n: int, delta: float, c: float) -> np.ndarray:
+    denom = c * n * delta - s
+    return c * n_plus / np.where(denom > 0.0, denom, math.nan)
+
+
+def _tilde(n_plus, s, n: int, delta: float, c: float) -> np.ndarray:
+    return _hat(n, s, n, delta, c)  # the same denominator, every stride counted as turned
+
+
+def _dot(n_plus, s, n: int, delta: float, c: float) -> np.ndarray:
+    """-log(1 - n_plus/n)/delta per record, +inf if every stride turned, +0.0 if none did."""
+    # math.log1p per record: np.log1p differs from it in about 7% of inputs.
+    return np.array([math.inf if k == n else (-math.log1p(-k / n) / delta if k else 0.0)
+                     for k in np.atleast_1d(n_plus).tolist()])
+
+
+def _closed_form(formula, summary: IncrementSummary, kind: str) -> float:
+    """``formula``'s value on one record; NaN (c*n*delta - S <= 0) raises NumericalError."""
+    value = float(formula(summary.n_plus, summary.sum_sqrt_u_turned, summary.n,
+                          summary.delta, summary.speed))
+    if math.isnan(value):
+        raise NumericalError(f"denominator c*n*delta - S <= 0 in {kind}", estimate=math.inf)
+    return value
 
 
 def pseudo_mle(summary: IncrementSummary) -> Estimate:
@@ -188,7 +210,7 @@ def pseudo_mle(summary: IncrementSummary) -> Estimate:
     pseudo-likelihood is maximized at the boundary).
     """
     n, delta = summary.n, summary.delta
-    value = summary.speed * summary.n_plus / _denominator(summary, "pseudo-MLE")
+    value = _closed_form(_hat, summary, "pseudo-MLE")
     return Estimate(value=value, kind="pseudo_mle", n=n, delta=delta,
                     stderr=_sampling_stderr(value, n, delta))
 
@@ -201,7 +223,7 @@ def modified_mle(summary: IncrementSummary) -> Estimate:
     the value is still returned with ``condition_warning`` set.
     """
     n, delta = summary.n, summary.delta
-    value = summary.speed * n / _denominator(summary, "modified MLE")
+    value = _closed_form(_tilde, summary, "modified MLE")
     return Estimate(value=value, kind="modified_mle", n=n, delta=delta,
                     stderr=value / math.sqrt(n),
                     condition_warning=summary.n_plus < n)
@@ -215,12 +237,9 @@ def indicator_estimate(summary: IncrementSummary) -> Estimate:
     +inf with ``saturated`` set.
     """
     n, delta = summary.n, summary.delta
-    if summary.n_plus == n:
-        return Estimate(value=math.inf, kind="indicator", n=n, delta=delta,
-                        stderr=math.inf, saturated=True)
-    value = -math.log1p(-summary.n_plus / n) / delta
+    (value,) = _dot(summary.n_plus, summary.sum_sqrt_u_turned, n, delta, summary.speed).tolist()
     return Estimate(value=value, kind="indicator", n=n, delta=delta,
-                    stderr=_sampling_stderr(value, n, delta))
+                    stderr=_sampling_stderr(value, n, delta), saturated=math.isinf(value))
 
 
 def poisson_mle(traj: Trajectory) -> Estimate:
@@ -256,13 +275,14 @@ def pseudo_likelihood_ratio(summary: IncrementSummary, rate: float, z: float) ->
     return math.exp(log_ratio)
 
 
-# Short names used by the CLI and Monte Carlo configs -> (reported kind, function).
+# Short names used by the CLI and Monte Carlo configs -> (reported kind,
+# function returning an Estimate, closed form over (n_plus, S, n, delta, c)).
 ESTIMATORS = {
-    "hat": ("pseudo_mle", pseudo_mle),
-    "tilde": ("modified_mle", modified_mle),
-    "dot": ("indicator", indicator_estimate),
+    "hat": ("pseudo_mle", pseudo_mle, _hat),
+    "tilde": ("modified_mle", modified_mle, _tilde),
+    "dot": ("indicator", indicator_estimate, _dot),
 }
-ESTIMATOR_KINDS = {name: kind for name, (kind, _) in ESTIMATORS.items()}
+ESTIMATOR_KINDS = {name: kind for name, (kind, *_) in ESTIMATORS.items()}
 _KIND_TO_NAME = {kind: name for name, kind in ESTIMATOR_KINDS.items()}
 
 

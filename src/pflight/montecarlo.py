@@ -13,6 +13,10 @@ scheduling order. Workers are separate processes; the ``PFL_THREADS``
 environment variable (0 = auto) sets their number when the caller does not
 pass an explicit count.
 
+A cell's replications run in blocks of about ``_BLOCK_STRIDES`` strides,
+evaluated as 2-d arrays; ``run_replication``, the reference path through
+the public functions, gives every value the same bits.
+
 Failed replications (an estimator raising ``NumericalError``) and
 saturated indicator estimates are excluded from the moments and counted in
 ``saturated_count``; the per-cell invariant
@@ -27,7 +31,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -37,12 +40,14 @@ from .estimators import (
     ESTIMATOR_KINDS,
     ESTIMATORS,
     Estimate,
+    _classify,
     check_epsilon,
     estimator_name,
     summarize_increments,
 )
 from .seeding import SeedSpec, replication_stream
-from .simulate import FlightParams, sample_at_grid, simulate_trajectory
+from .simulate import (FlightParams, _check_steps, _draw, _grid, _positions, _stride_slack,
+                       sample_at_grid, simulate_trajectory)
 
 __all__ = [
     "ExperimentConfig",
@@ -135,45 +140,51 @@ class ExperimentOutcome:
     values: dict[tuple[int, int, str], np.ndarray]
 
 
-def _replicate(config: ExperimentConfig, lambda_index: int, n_index: int,
-               start: int, stop: int) -> Iterator[dict[str, Estimate | None]]:
-    """Simulate, observe and estimate replications [start, stop) of one cell.
-
-    Yields each replication's estimates by short name; None marks a
-    failed estimator. The loop keeps the previous replication's arrays
-    alive while it builds the next, so on long records the allocator
-    reuses their memory instead of returning it to the OS after each one.
-    """
-    params = FlightParams(rate=config.lambda_grid[lambda_index], speed=config.speed)
-    n = config.n_grid[n_index]
-    for rep in range(start, stop):
-        seed = SeedSpec(config.master_seed, replication_stream(lambda_index, n_index, rep))
-        traj = simulate_trajectory(params, config.horizon, seed)
-        summary = summarize_increments(sample_at_grid(traj, n), config.epsilon)
-        estimates: dict[str, Estimate | None] = {}
-        for name in config.estimators:
-            try:
-                estimates[name] = ESTIMATORS[name][1](summary)
-            except NumericalError:
-                estimates[name] = None
-        yield estimates
-
-
 def run_replication(config: ExperimentConfig, lambda_index: int, n_index: int,
                     rep_index: int) -> ReplicationResult:
-    """Simulate, observe and estimate one replication of one cell."""
-    (estimates,) = _replicate(config, lambda_index, n_index, rep_index, rep_index + 1)
+    """One replication of one cell, through the public functions: the block kernel's reference."""
+    params = FlightParams(rate=config.lambda_grid[lambda_index], speed=config.speed)
+    seed = SeedSpec(config.master_seed, replication_stream(lambda_index, n_index, rep_index))
+    traj = simulate_trajectory(params, config.horizon, seed)
+    summary = summarize_increments(sample_at_grid(traj, config.n_grid[n_index]), config.epsilon)
+    estimates: dict[str, Estimate | None] = {}
+    for name in config.estimators:
+        try:
+            estimates[name] = ESTIMATORS[name][1](summary)
+        except NumericalError:
+            estimates[name] = None
     return ReplicationResult(lambda_index=lambda_index, n_index=n_index,
                              rep_index=rep_index, estimates=estimates)
 
 
+# Strides per block of replications, so that a block's arrays stay in L2.
+_BLOCK_STRIDES = 1 << 13
+
+
 def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
                start: int, stop: int) -> dict[str, np.ndarray]:
-    """Replications [start, stop) of one cell, as per-estimator value arrays."""
-    out = {name: np.empty(stop - start, dtype=np.float64) for name in config.estimators}
-    for i, estimates in enumerate(_replicate(config, lambda_index, n_index, start, stop)):
-        for name, est in estimates.items():
-            out[name][i] = math.nan if est is None else est.value
+    """Replications [start, stop) of one cell, run as (B, n) arrays of B = _BLOCK_STRIDES // n."""
+    params = FlightParams(rate=config.lambda_grid[lambda_index], speed=config.speed)
+    n, horizon, speed = config.n_grid[n_index], config.horizon, config.speed
+    delta = horizon / n
+    out = {name: np.empty(stop - start) for name in config.estimators}
+    size = max(1, min(stop - start, _BLOCK_STRIDES // n))
+    # One positions buffer for all blocks: with one per block, the allocator gave the memory
+    # back to the OS after each, and n = 200,000 took several times the page faults.
+    positions = np.empty((size, n + 1, 2))
+    for first in range(start, stop, size):
+        reps = range(first, min(first + size, stop))
+        flights = [_draw(SeedSpec(config.master_seed, replication_stream(
+            lambda_index, n_index, rep)).generator(), params.rate, horizon) for rep in reps]
+        times = np.tile(_grid(horizon, n), (len(reps), 1))
+        slack = _stride_slack(_positions(params, horizon, flights, times, positions[:len(reps)]),
+                              speed, delta)
+        _check_steps(slack, speed, delta)
+        _, n_plus, s = _classify(slack, delta, speed, config.epsilon)
+        del slack
+        for name in config.estimators:
+            out[name][first - start:reps.stop - start] = ESTIMATORS[name][2](
+                n_plus, s, n, delta, speed)
     return out
 
 

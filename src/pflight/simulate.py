@@ -103,14 +103,29 @@ class Trajectory:
 
 
 def _stride_slack(pos: np.ndarray, speed: float, delta: float) -> np.ndarray:
-    """Each stride's squared slack (speed*delta)^2 - |P_i - P_{i-1}|^2, positions float64."""
-    if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
-        raise ParameterError(f"positions must have shape (n+1, 2) with n >= 1, got {pos.shape}")
+    """Each stride's (speed*delta)^2 - |P_i - P_{i-1}|^2, for float64 positions (..., n+1, 2)."""
     if not speed * delta < 1e154:
         raise ParameterError(f"speed*delta = {speed * delta:.17g} must be below 1e154 to square")
-    dx = np.diff(pos[:, 0])
-    dy = np.diff(pos[:, 1])
-    return (speed * delta) ** 2 - (dx * dx + dy * dy)
+    dx, dy = pos[..., 1:, 0] - pos[..., :-1, 0], pos[..., 1:, 1] - pos[..., :-1, 1]
+    dx *= dx
+    dx += np.square(dy, out=dy)
+    return np.subtract((speed * delta) ** 2, dx, out=dx)
+
+
+def _record_slack(pos: np.ndarray, speed: float, delta: float) -> np.ndarray:
+    """The stride slacks of one record, whose positions must have shape (n+1, 2)."""
+    if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
+        raise ParameterError(f"positions must have shape (n+1, 2) with n >= 1, got {pos.shape}")
+    return _stride_slack(pos, speed, delta)
+
+
+def _check_steps(slack: np.ndarray, speed: float, delta: float) -> None:
+    """Raise unless every step is at most speed*delta*(1 + 1e-9); a NaN slack fails."""
+    stride_sq, bound = (speed * delta) ** 2, speed * delta * (1.0 + 1e-9)
+    if not np.all(slack >= stride_sq - bound * bound):
+        worst = math.sqrt(stride_sq - float(slack.min()))
+        raise ParameterError(f"step displacement {worst:.17g} is non-finite or exceeds "
+                             f"speed*delta={bound:.17g}")
 
 
 @dataclass(frozen=True)
@@ -125,24 +140,29 @@ class DiscreteSample:
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", require_positive("delta", self.delta))
         pos = np.asarray(self.positions, dtype=np.float64)
-        speed = self.params.speed
-        slack = _stride_slack(pos, speed, self.delta)
+        slack = _record_slack(pos, self.params.speed, self.delta)
         if tuple(pos[0]) != self.params.origin:
             raise ParameterError("positions[0] must equal the origin")
-        # Steps of at most speed*delta*(1 + 1e-9); a NaN slack fails the test.
-        stride_sq = (speed * self.delta) ** 2
-        bound = speed * self.delta * (1.0 + 1e-9)
-        if not np.all(slack >= stride_sq - bound * bound):
-            worst = math.sqrt(stride_sq - float(slack.min()))
-            raise ParameterError(
-                f"step displacement {worst:.17g} is non-finite or exceeds "
-                f"speed*delta={bound:.17g}")
+        _check_steps(slack, self.params.speed, self.delta)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "slack", slack)
 
     @property
     def n(self) -> int:
         return int(self.positions.shape[0] - 1)
+
+
+def _draw(rng: np.random.Generator, rate: float, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The event times and headings of one flight, in the order ``simulate_trajectory`` draws."""
+    mean_count = rate * horizon
+    chunk = max(16, int(mean_count + 6.0 * math.sqrt(mean_count) + 16.0))
+    gaps = rng.standard_exponential(chunk, method="inv") / rate
+    times = np.add.accumulate(gaps)
+    while times[-1] <= horizon:
+        gaps = rng.standard_exponential(chunk, method="inv") / rate
+        times = np.concatenate((times, times[-1] + np.add.accumulate(gaps)))
+    events = times[times < horizon]
+    return events, 2.0 * np.pi * (1.0 - rng.random(events.size + 1))
 
 
 def simulate_trajectory(params: FlightParams, horizon: float,
@@ -156,19 +176,7 @@ def simulate_trajectory(params: FlightParams, horizon: float,
     if isinstance(seed, (int, np.integer)):
         seed = SeedSpec(int(seed))
     horizon = require_positive("horizon", horizon)
-    rng = seed.generator()
-    rate = params.rate
-
-    mean_count = rate * horizon
-    chunk = max(16, int(mean_count + 6.0 * math.sqrt(mean_count) + 16.0))
-    gaps = rng.standard_exponential(chunk, method="inv") / rate
-    times = np.cumsum(gaps)
-    while times[-1] <= horizon:
-        gaps = rng.standard_exponential(chunk, method="inv") / rate
-        times = np.concatenate((times, times[-1] + np.cumsum(gaps)))
-    events = times[times < horizon]
-
-    directions = 2.0 * np.pi * (1.0 - rng.random(events.size + 1))
+    events, directions = _draw(seed.generator(), params.rate, horizon)
     return Trajectory(params=params, horizon=horizon,
                       event_times=events, directions=directions)
 
@@ -178,7 +186,7 @@ def position_at(traj: Trajectory, t: float) -> tuple[float, float]:
     t = float(t)
     if not 0.0 <= t <= traj.horizon:
         raise ParameterError(f"t must lie in [0, {traj.horizon}], got {t}")
-    x, y = _positions(traj, np.array([t]))[0]
+    x, y = _trajectory_positions(traj, np.array([t]))[0]
     return (float(x), float(y))
 
 
@@ -186,32 +194,51 @@ def _grid(horizon: float, n: int) -> np.ndarray:
     return np.linspace(0.0, horizon, n + 1)
 
 
-def _positions(traj: Trajectory, times: np.ndarray) -> np.ndarray:
-    """Positions at ``times`` (float64, in [0, horizon]), overwriting ``times``.
+def _positions(params: FlightParams, horizon: float, flights: list[tuple[np.ndarray, np.ndarray]],
+               times: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Fill ``pos`` (rows, m, 2) with positions at ``times`` (rows, m), which it overwrites.
 
-    With k the segment holding each time and rem the time since it started,
-    a position is o + c * (cum[k] + rem * trig[k]), where cum is the prefix
-    sum of the segments' unit displacements.
+    Row r follows ``flights[r]`` = (event_times, directions). With k the segment holding a
+    time and rem the time since it started, a position is o + c * (cum[k] + rem * trig[k]),
+    cum being the prefix sum of unit displacements. Rows are padded with knots at the
+    horizon and headings of 0: padded segments have length 0, so no row's prefix sums
+    change, and k never reaches them.
     """
-    knots = traj.knots()
-    seg_dt = np.diff(knots)
-    # Per-segment arrays first, then per-time ones evaluated in place and freed
-    # on return, before a caller's DiscreteSample validates: at n = 200,000 this
-    # cuts the page faults of a replication by about two thirds (building cum
-    # inside the loop instead costs 1.8 times the faults).
-    trigs = (np.cos(traj.directions), np.sin(traj.directions))
-    cums = [np.concatenate(([0.0], np.cumsum(seg_dt * trig))) for trig in trigs]
-    k = np.searchsorted(traj.event_times, times, side="right")
-    rem = np.subtract(times, knots[k], out=times)
-    pos = np.empty((times.size, 2), dtype=np.float64)
-    for col, (o, trig, cum) in enumerate(zip(traj.params.origin, trigs, cums)):
-        v = trig[k]
+    rows, width = len(flights), 2 + max(events.size for events, _ in flights)
+    knots = np.full((rows, width), horizon)
+    knots[:, 0] = 0.0
+    headings = np.zeros((rows, width))
+    k = np.empty(times.shape, dtype=np.intp)
+    for row, (events, directions) in enumerate(flights):
+        knots[row, 1:1 + events.size] = events
+        headings[row, :directions.size] = directions
+        k[row] = events.searchsorted(times[row], side="right")
+    k += np.arange(0, rows * width, width)[:, None]  # flat indices, for .take
+    # Per-segment arrays first, each freed once used, then per-time ones in place.
+    seg_dt = knots[:, 1:] - knots[:, :-1]
+    trigs = (np.cos(headings), np.sin(headings))
+    del headings
+    cums = []
+    for trig in trigs:
+        cums.append(np.zeros((rows, width)))
+        np.add.accumulate(seg_dt * trig[:, :-1], axis=1, out=cums[-1][:, 1:])
+    del seg_dt
+    rem = np.subtract(times, knots.take(k), out=times)
+    del knots
+    for col, (o, trig, cum) in enumerate(zip(params.origin, trigs, cums)):
+        v = pos[..., col]
+        trig.take(k, out=v, mode="clip")  # k is in range; "clip" fills v unbuffered
         v *= rem
-        v += cum[k]
-        v *= traj.params.speed
+        v += cum.take(k)
+        v *= params.speed
         v += o
-        pos[:, col] = v
     return pos
+
+
+def _trajectory_positions(traj: Trajectory, times: np.ndarray) -> np.ndarray:
+    """Positions (times.size, 2) of one trajectory at 1-d ``times``, which it overwrites."""
+    return _positions(traj.params, traj.horizon, [(traj.event_times, traj.directions)],
+                      times[None], np.empty((1, times.size, 2)))[0]
 
 
 def sample_at_grid(traj: Trajectory, n: int) -> DiscreteSample:
@@ -221,7 +248,7 @@ def sample_at_grid(traj: Trajectory, n: int) -> DiscreteSample:
     grid point, bit for bit.
     """
     n = require_int("n", n)
-    pos = _positions(traj, _grid(traj.horizon, n))
+    pos = _trajectory_positions(traj, _grid(traj.horizon, n))
     return DiscreteSample(params=traj.params, delta=traj.horizon / n, positions=pos)
 
 
@@ -232,7 +259,7 @@ def vertex_positions(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     and for serializing a trajectory as position rows.
     """
     knots = traj.knots()
-    return knots, _positions(traj, knots.copy())
+    return knots, _trajectory_positions(traj, knots.copy())
 
 
 def ground_truth_counts(traj: Trajectory, n: int) -> np.ndarray:

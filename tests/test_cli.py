@@ -128,6 +128,17 @@ class TestEstimate:
         )
         assert out_csv == out_nd
 
+    def test_no_turn_prints_positive_zero(self, capsys, tmp_path):
+        # A straight record: no stride turned, and both estimators that read
+        # n_plus print 0, not -0.
+        path = tmp_path / "straight.csv"
+        path.write_text("i,t,x,y\n0,0,0,0\n1,1,1,0\n2,2,2,0\n")
+        code, out, _ = run_cli(capsys, ["estimate", "--in", str(path), "--c", "1"])
+        assert code == 0
+        rows = dict(line.split(",", 2)[:2] for line in out.strip().split("\n")[1:])
+        assert rows["pseudo_mle"] == "0"
+        assert rows["indicator"] == "0"
+
 
 class TestDensity:
     def test_rows_match_library(self, capsys):

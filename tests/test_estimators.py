@@ -213,6 +213,14 @@ class TestIndicatorEstimate:
         summ = summarize_increments(DiscreteSample(params, 1.0, pts))
         assert indicator_estimate(summ).value == 0.0
 
+    def test_no_turn_is_positive_zero(self):
+        # -log1p(-0/n) is -0.0; the estimate is +0.0, like pseudo_mle's.
+        params = FlightParams(rate=1.0, speed=1.0)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        summ = summarize_increments(DiscreteSample(params, 1.0, pts))
+        assert summ.n_plus == 0
+        assert math.copysign(1.0, indicator_estimate(summ).value) == 1.0
+
 
 class TestClassificationMatchesGroundTruth:
     def test_detected_turns_equal_actual_turns(self):

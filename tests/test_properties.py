@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pflight import (
     DiscreteSample,
+    EmptyCellError,
+    ExperimentConfig,
     FlightParams,
     IncrementSummary,
     SeedSpec,
@@ -23,14 +25,17 @@ from pflight import (
     modified_mle,
     position_at,
     pseudo_mle,
+    run_experiment,
+    run_replication,
     sample_at_grid,
     score,
     simulate_trajectory,
     summarize_increments,
     vertex_positions,
 )
+from pflight import montecarlo
 from pflight.io import (positions_csv_lines, read_positions_csv, read_sample_ndjson,
-                        sample_ndjson_line)
+                        sample_ndjson_line, summary_csv_lines)
 
 ESTIMATORS = (pseudo_mle, modified_mle, indicator_estimate)
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -193,3 +198,59 @@ def test_ndjson_round_trip_is_exact(rows, delta):
     back, back_delta = read_sample_ndjson(io.StringIO(line + "\n"), speed=speed)
     assert back.tobytes() == positions.tobytes()
     assert back_delta == delta
+
+
+@st.composite
+def cells(draw, max_reps=12):
+    """A one-cell Monte Carlo config with a short record."""
+    return ExperimentConfig(
+        lambda_grid=(draw(st.floats(0.05, 3.0)),),
+        n_grid=(draw(st.integers(1, 300)),),
+        horizon=draw(st.floats(1.0, 600.0)),
+        reps=draw(st.integers(1, max_reps)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        speed=draw(st.floats(0.5, 4.0)),
+        epsilon=draw(st.sampled_from((1e-9, 1e-6, 1e-3))))
+
+
+# At lambda = 2, n = 200, T = 500 every stride turns in about a quarter of
+# the replications, so the indicator saturates there.
+SATURATING = ExperimentConfig(lambda_grid=(2.0,), n_grid=(200,), horizon=500.0, reps=12,
+                              master_seed=3)
+
+
+@PROPERTY
+@given(cells().flatmap(lambda cfg: st.tuples(st.just(cfg), st.integers(1, cfg.reps))))
+@example((SATURATING, 5))
+def test_block_kernel_equals_run_replication(cell):
+    # B replications per block, for any B from 1 to reps: every value keeps
+    # the reference path's bits, NaN for failed and inf for saturated.
+    cfg, block = cell
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_BLOCK_STRIDES", block * cfg.n_grid[0])
+        got = montecarlo._run_range(cfg, 0, 0, 0, cfg.reps)
+    for rep in range(cfg.reps):
+        estimates = run_replication(cfg, 0, 0, rep).estimates
+        for name in cfg.estimators:
+            est = estimates[name]
+            want = np.float64(math.nan if est is None else est.value)
+            assert got[name][rep].tobytes() == want.tobytes(), (name, rep)
+
+
+def _outcome(cfg, workers):
+    try:
+        out = run_experiment(cfg, workers=workers)
+    except EmptyCellError as exc:
+        return str(exc)
+    return list(summary_csv_lines(out)), {key: v.tobytes() for key, v in out.values.items()}
+
+
+@settings(PROPERTY, max_examples=10)
+@given(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=2, unique=True),
+       st.lists(st.integers(1, 120), min_size=1, max_size=2, unique=True),
+       st.floats(1.0, 300.0), st.integers(1, 30), st.integers(0, 2**64 - 1))
+def test_worker_count_invariance(rates, ns, horizon, reps, seed):
+    # Each example starts a pool of two workers, hence the few examples.
+    cfg = ExperimentConfig(lambda_grid=tuple(rates), n_grid=tuple(ns), horizon=horizon,
+                           reps=reps, master_seed=seed)
+    assert _outcome(cfg, 1) == _outcome(cfg, 2)
