@@ -24,6 +24,9 @@ absolute tolerance 1e-9 and up to 10^4 subdivisions; a failed integration
 raises ``QuadratureError`` carrying the best estimate reached. The
 modified Bessel function I_nu is summed from its ascending series up to
 x = 30 and taken from ``scipy.special.ive`` above.
+
+scipy is imported on the first call that needs it, not with this module:
+the estimators and the Monte Carlo study need only numpy.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-from scipy import integrate, special
 
 from .errors import (
     BesselOverflowError,
@@ -72,9 +73,24 @@ _BESSEL_SWITCH = 30.0
 _BESSEL_OVERFLOW = 700.0
 
 
+# Each stand-in rebinds its own name to scipy's function on its first call:
+# scipy loads only when needed, and later calls pay no per-call import.
+
+def _scipy_quad(*args, **kwargs):
+    global _scipy_quad
+    from scipy.integrate import quad as _scipy_quad
+    return _scipy_quad(*args, **kwargs)
+
+
+def _scipy_ive(nu, x):
+    global _scipy_ive
+    from scipy.special import ive as _scipy_ive
+    return _scipy_ive(nu, x)
+
+
 def _quad(func: Callable[[float], float], a: float, b: float) -> float:
-    out = integrate.quad(func, a, b, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
-                         limit=_QUAD_LIMIT, full_output=1)
+    out = _scipy_quad(func, a, b, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
+                      limit=_QUAD_LIMIT, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3:
         raise QuadratureError(
@@ -270,7 +286,7 @@ def bessel_i(nu: float, x: float) -> float:
     x = require_nonnegative("x", x)
     if x <= _BESSEL_SWITCH:
         return _bessel_series(nu, x)
-    scaled = float(special.ive(nu, x))
+    scaled = float(_scipy_ive(nu, x))
     if x > _BESSEL_OVERFLOW:
         raise BesselOverflowError(
             f"I_{nu}({x:g}) overflows double precision; "
@@ -284,7 +300,7 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     x = require_nonnegative("x", x)
     if x <= _BESSEL_SWITCH:
         return _bessel_series(nu, x) * math.exp(-x)
-    return float(special.ive(nu, x))
+    return float(_scipy_ive(nu, x))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +380,7 @@ class FisherInfo:
     idealized_per_observation: float
     n: int
     total: float
+    full_per_observation: float
 
 
 def fisher_info(rate: float, delta: float, n: int) -> FisherInfo:
@@ -372,21 +389,24 @@ def fisher_info(rate: float, delta: float, n: int) -> FisherInfo:
     per_observation = (1 - exp(-rate delta) (1 + rate^2 delta^2)) / rate^2
     is the information of the absolutely continuous part (turned strides)
     only. It leaves out the no-turn atom's term delta^2 exp(-rate delta);
-    the full one-step information is -expm1(-rate delta) / rate^2.
-    per_observation is computed via expm1 so the small-delta regime (where
-    it behaves like delta / rate - 1.5 delta^2) does not lose precision.
-    The idealized value 1 / rate^2 is the large-delta limit used in the
-    asymptotics.
+    full_per_observation = -expm1(-rate delta) / rate^2 is the full
+    one-step information, atom included. per_observation is computed via
+    expm1 so the small-delta regime (where it behaves like
+    delta / rate - 1.5 delta^2) does not lose precision. The idealized
+    value 1 / rate^2 is the large-delta limit used in the asymptotics;
+    total is n * per_observation.
     """
     rate = require_positive("rate", rate)
     delta = require_positive("delta", delta)
     n = require_int("n", n)
     x = rate * delta
+    full = -math.expm1(-x) / (rate * rate)
     per = (-math.expm1(-x) - x * x * math.exp(-x)) / (rate * rate)
     return FisherInfo(per_observation=per,
                       idealized_per_observation=1.0 / (rate * rate),
                       n=n,
-                      total=n * per)
+                      total=n * per,
+                      full_per_observation=full)
 
 
 def cramer_rao_bound(rate: float, n: int,

@@ -193,7 +193,8 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
         pfio.FISHER_HEADER,
         (f"{pfio.fmt_raw(args.rate)},{pfio.fmt_raw(args.delta)},{info.n},"
          f"{pfio.fmt_raw(info.per_observation)},"
-         f"{pfio.fmt_raw(info.idealized_per_observation)},{pfio.fmt_raw(info.total)}"),
+         f"{pfio.fmt_raw(info.idealized_per_observation)},{pfio.fmt_raw(info.total)},"
+         f"{pfio.fmt_raw(info.full_per_observation)}"),
     ]
     _write_lines(args.out, lines)
     return 0
@@ -219,15 +220,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except NumericalError as exc:
-        _print_error(exc)
+        _print_error(args.command, exc)
         return 1
     except (ValueError, OSError) as exc:
-        _print_error(exc)
+        _print_error(args.command, exc)
         return 2
 
 
-def _print_error(exc: Exception) -> None:
-    record = {"error": type(exc).__name__, "message": str(exc)}
+def _print_error(command: str, exc: Exception) -> None:
+    record = {"error": type(exc).__name__, "message": str(exc), "command": command}
     print(json.dumps(record), file=sys.stderr)
 
 

@@ -23,7 +23,7 @@ ESTIMATES_HEADER = "kind,value,stderr,n,delta,n_plus,saturated"
 SUMMARY_HEADER = "lambda,c,T,n,delta,estimator,reps,bias,rmse,min,max,saturated"
 DENSITY_HEADER = "r,ac,singular_weight"
 MOMENTS_HEADER = "p,value_closed_form,value_quadrature"
-FISHER_HEADER = "lambda,delta,n,per_obs,idealized,total"
+FISHER_HEADER = "lambda,delta,n,per_obs,idealized,total,full_per_obs"
 
 
 def fmt_raw(x: float) -> str:

@@ -29,7 +29,6 @@ import contextlib
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,8 +248,14 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     tasks = [(li, ni, a, min(a + chunk, reps))
              for li, ni in cells for a in range(0, reps, chunk)]
     run = functools.partial(_run_range, config)
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
+    if workers > 1:
+        # Imported here, so that `import pflight` and one-worker runs do not
+        # load multiprocessing and what it pulls in (socket, logging).
+        from concurrent.futures import ProcessPoolExecutor
+        executor = ProcessPoolExecutor(max_workers=workers)
+    else:
+        executor = contextlib.nullcontext()
+    with executor as pool:
         mapper = map if pool is None else pool.map
         for (li, ni, start, stop), arrs in zip(tasks, mapper(run, *zip(*tasks))):
             for name, arr in arrs.items():

@@ -361,6 +361,17 @@ class TestFisherInfo:
         fi = fisher_info(1.0, 1e-12, 1)
         assert fi.per_observation == pytest.approx(1e-12, rel=1e-6)
 
+    def test_full_adds_the_no_turn_atom(self):
+        # The full one-step information is the continuous part's plus the
+        # atom's score term delta^2 exp(-rate delta).
+        for rate in (0.1, 0.5, 1.0, 2.0, 7.0):
+            for delta in (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0):
+                fi = fisher_info(rate, delta, 3)
+                atom = delta**2 * math.exp(-rate * delta)
+                assert fi.full_per_observation == pytest.approx(
+                    fi.per_observation + atom, rel=1e-13), (rate, delta)
+                assert fi.full_per_observation == -math.expm1(-rate * delta) / (rate * rate)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             fisher_info(0.0, 1.0, 1)

@@ -211,12 +211,14 @@ class TestMomentsAndFisher:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == "lambda,delta,n,per_obs,idealized,total"
+        assert lines[0] == "lambda,delta,n,per_obs,idealized,total,full_per_obs"
         cells = lines[1].split(",")
+        assert len(cells) == 7
         info = fisher_info(2.0, 0.5, 100)
         assert float(cells[3]) == info.per_observation
         assert float(cells[4]) == info.idealized_per_observation
         assert float(cells[5]) == info.total
+        assert float(cells[6]) == info.full_per_observation
 
 
 class TestMonteCarloCommand:
@@ -388,6 +390,25 @@ class TestErrorHandling:
         assert code == 2
         assert json.loads(err)["error"] == "FileNotFoundError"
 
+    def test_exit_2_record_names_the_command(self, capsys):
+        code, _, err = run_cli(capsys, ["fisher", "--lambda", "1.0", "--delta", "0",
+                                        "--n", "5"])
+        assert code == 2
+        record = json.loads(err)
+        assert set(record) == {"error", "message", "command"}
+        assert (record["error"], record["command"]) == ("ParameterError", "fisher")
+        assert "delta" in record["message"]
+
+    def test_exit_1_record_names_the_command(self, capsys, tmp_path):
+        path = tmp_path / "frozen.csv"
+        path.write_text("i,t,x,y\n" + "".join(f"{i},{i},0,0\n" for i in range(5)))
+        code, _, err = run_cli(capsys, ["estimate", "--in", str(path), "--c", "1.0",
+                                        "--estimator", "hat"])
+        assert code == 1
+        record = json.loads(err)
+        assert set(record) == {"error", "message", "command"}
+        assert (record["error"], record["command"]) == ("NumericalError", "estimate")
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--bogus", "1"])
@@ -400,8 +421,12 @@ class TestInstalledScript:
     def check_fisher_output(self, proc):
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().split("\n")
+        assert lines[0] == "lambda,delta,n,per_obs,idealized,total,full_per_obs"
         info = fisher_info(1.0, 1.0, 5)
-        assert float(lines[1].split(",")[3]) == info.per_observation
+        cells = lines[1].split(",")
+        assert len(cells) == 7
+        assert float(cells[3]) == info.per_observation
+        assert float(cells[6]) == info.full_per_observation
 
     def test_console_script_runs(self):
         try:

@@ -55,7 +55,7 @@ class TestHeaders:
         )
         assert DENSITY_HEADER == "r,ac,singular_weight"
         assert MOMENTS_HEADER == "p,value_closed_form,value_quadrature"
-        assert FISHER_HEADER == "lambda,delta,n,per_obs,idealized,total"
+        assert FISHER_HEADER == "lambda,delta,n,per_obs,idealized,total,full_per_obs"
 
 
 class TestFormatting:
