@@ -70,7 +70,7 @@ class BesselOverflowError(NumericalError):
 
 
 # The concrete-type tests come first because the ABC isinstance checks
-# cost several times more, and these run several times per replication.
+# cost several times more; seeding calls require_int five times per replication.
 def _is_real(value) -> bool:
     return isinstance(value, (float, int)) or isinstance(value, Real)
 

@@ -86,21 +86,17 @@ class IncrementSummary:
                        epsilon: float = DEFAULT_EPSILON) -> "IncrementSummary":
         delta = require_positive("delta", delta)
         speed = require_positive("speed", speed)
-        slack = _record_slack(np.asarray(positions, dtype=np.float64), speed, delta)
-        return cls._from_slack(slack, delta, speed, check_epsilon(epsilon))
-
-    @classmethod
-    def _from_slack(cls, u_raw: np.ndarray, delta: float, speed: float,
-                    epsilon: float) -> "IncrementSummary":
-        turned, n_plus, s = _classify(u_raw[None], delta, speed, epsilon)
-        return cls(n=int(u_raw.size), delta=delta, speed=speed, epsilon=epsilon,
-                   u=np.maximum(u_raw, 0.0), turned=turned[0], n_plus=int(n_plus[0]),
-                   sum_sqrt_u_turned=float(s[0]))
+        u_raw = _record_slack(np.asarray(positions, dtype=np.float64), speed, delta)
+        epsilon = check_epsilon(epsilon)
+        turned, (n_plus,), (s,) = _classify(u_raw[None], delta, speed, epsilon)
+        return cls(n=u_raw.size, delta=delta, speed=speed, epsilon=epsilon,
+                   u=np.maximum(u_raw, 0.0, out=u_raw), turned=turned[0], n_plus=n_plus,
+                   sum_sqrt_u_turned=s)
 
 
 def _classify(u_raw: np.ndarray, delta: float, speed: float,
-              epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's turned strides (slack > epsilon*(speed*delta)^2), n_plus and S."""
+              epsilon: float) -> tuple[np.ndarray, list[int], list[float]]:
+    """Each row's turned strides (slack > epsilon*(speed*delta)^2), and its n_plus and S."""
     tol = epsilon * (speed * delta) ** 2
     # Written so that a NaN slack (a non-finite position) fails the test.
     if not np.all(u_raw >= -tol):
@@ -109,20 +105,21 @@ def _classify(u_raw: np.ndarray, delta: float, speed: float,
             f"slack {worst:.17g} is non-finite or below -epsilon*(speed*delta)^2 = "
             f"{-tol:.17g}; an increment is non-finite or longer than one stride")
     turned = u_raw > tol
-    n_plus = turned.sum(axis=1)
+    counts = turned.sum(axis=1)
     roots = u_raw[turned]
     np.sqrt(roots, out=roots)
     # One sum per row keeps np.sum's pairwise order; a masked row-wise sum does not.
-    ends = np.add.accumulate(n_plus).tolist()
-    s = np.array([np.add.reduce(roots[end - m:end]) for end, m in zip(ends, n_plus.tolist())])
-    return turned, n_plus, s
+    n_plus = counts.tolist()
+    ends = np.add.accumulate(counts).tolist()
+    return turned, n_plus, [float(np.add.reduce(roots[end - m:end]))
+                            for end, m in zip(ends, n_plus)]
 
 
 def summarize_increments(sample: DiscreteSample,
                          epsilon: float = DEFAULT_EPSILON) -> IncrementSummary:
     """Sufficient statistics of a simulated or deserialized sample."""
-    return IncrementSummary._from_slack(
-        sample.slack, sample.delta, sample.params.speed, check_epsilon(epsilon))
+    return IncrementSummary.from_positions(sample.positions, sample.delta, sample.params.speed,
+                                           epsilon)
 
 
 @dataclass(frozen=True)
@@ -177,27 +174,25 @@ def _sampling_stderr(value: float, n: int, delta: float) -> float:
     return math.sqrt(value / (n * delta)) if value > 0.0 else 0.0
 
 
-# Closed forms over (n_plus, S, n, delta, c) of one record or arrays of them; NaN = failed.
-def _hat(n_plus, s, n: int, delta: float, c: float) -> np.ndarray:
+# Closed forms over one record's (n_plus, S, n, delta, c), as Python floats; NaN = failed.
+def _hat(n_plus: int, s: float, n: int, delta: float, c: float) -> float:
     denom = c * n * delta - s
-    return c * n_plus / np.where(denom > 0.0, denom, math.nan)
+    return c * n_plus / denom if denom > 0.0 else math.nan
 
 
-def _tilde(n_plus, s, n: int, delta: float, c: float) -> np.ndarray:
+def _tilde(n_plus: int, s: float, n: int, delta: float, c: float) -> float:
     return _hat(n, s, n, delta, c)  # the same denominator, every stride counted as turned
 
 
-def _dot(n_plus, s, n: int, delta: float, c: float) -> np.ndarray:
-    """-log(1 - n_plus/n)/delta per record, +inf if every stride turned, +0.0 if none did."""
-    # math.log1p per record: np.log1p differs from it in about 7% of inputs.
-    return np.array([math.inf if k == n else (-math.log1p(-k / n) / delta if k else 0.0)
-                     for k in np.atleast_1d(n_plus).tolist()])
+def _dot(n_plus: int, s: float, n: int, delta: float, c: float) -> float:
+    """-log(1 - n_plus/n)/delta, +inf if every stride turned, +0.0 if none did."""
+    return math.inf if n_plus == n else (-math.log1p(-n_plus / n) / delta if n_plus else 0.0)
 
 
 def _closed_form(formula, summary: IncrementSummary, kind: str) -> float:
     """``formula``'s value on one record; NaN (c*n*delta - S <= 0) raises NumericalError."""
-    value = float(formula(summary.n_plus, summary.sum_sqrt_u_turned, summary.n,
-                          summary.delta, summary.speed))
+    value = formula(summary.n_plus, summary.sum_sqrt_u_turned, summary.n,
+                    summary.delta, summary.speed)
     if math.isnan(value):
         raise NumericalError(f"denominator c*n*delta - S <= 0 in {kind}", estimate=math.inf)
     return value
@@ -237,7 +232,7 @@ def indicator_estimate(summary: IncrementSummary) -> Estimate:
     +inf with ``saturated`` set.
     """
     n, delta = summary.n, summary.delta
-    (value,) = _dot(summary.n_plus, summary.sum_sqrt_u_turned, n, delta, summary.speed).tolist()
+    value = _dot(summary.n_plus, summary.sum_sqrt_u_turned, n, delta, summary.speed)
     return Estimate(value=value, kind="indicator", n=n, delta=delta,
                     stderr=_sampling_stderr(value, n, delta), saturated=math.isinf(value))
 

@@ -182,8 +182,9 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
         _, n_plus, s = _classify(slack, delta, speed, config.epsilon)
         del slack
         for name in config.estimators:
-            out[name][first - start:reps.stop - start] = ESTIMATORS[name][2](
-                n_plus, s, n, delta, speed)
+            formula = ESTIMATORS[name][2]
+            out[name][first - start:reps.stop - start] = [
+                formula(k, s_k, n, delta, speed) for k, s_k in zip(n_plus, s)]
     return out
 
 

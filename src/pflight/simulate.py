@@ -19,7 +19,7 @@ closed disc of radius c * t around the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,12 +130,11 @@ def _check_steps(slack: np.ndarray, speed: float, delta: float) -> None:
 
 @dataclass(frozen=True)
 class DiscreteSample:
-    """Positions observed on the grid 0, delta, ..., n * delta, with each stride's slack."""
+    """Positions observed on the grid 0, delta, ..., n * delta."""
 
     params: FlightParams
     delta: float
     positions: np.ndarray
-    slack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", require_positive("delta", self.delta))
@@ -145,7 +144,6 @@ class DiscreteSample:
             raise ParameterError("positions[0] must equal the origin")
         _check_steps(slack, self.params.speed, self.delta)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "slack", slack)
 
     @property
     def n(self) -> int:

@@ -139,6 +139,20 @@ class TestEstimate:
         assert rows["pseudo_mle"] == "0"
         assert rows["indicator"] == "0"
 
+    @pytest.mark.parametrize("epsilon, expected_code", [(None, 2), ("1e-3", 0)])
+    def test_long_stride_limit_is_epsilon(self, capsys, tmp_path, epsilon, expected_code):
+        # |step|^2 = 1.0004^2 = 1.0008 (c * delta)^2: beyond the default epsilon,
+        # within 1e-3, where that stride counts as not turned.
+        path = tmp_path / "long.csv"
+        path.write_text("i,t,x,y\n0,0,0,0\n1,1,1.0004,0\n2,2,1.5,0.3\n")
+        args = ["estimate", "--in", str(path), "--c", "1"]
+        code, out, err = run_cli(capsys, args + (["--epsilon", epsilon] if epsilon else []))
+        assert code == expected_code, err
+        if expected_code == 2:
+            assert json.loads(err)["error"] == "InconsistentSampleError"
+        else:
+            assert {line.split(",")[5] for line in out.strip().split("\n")[1:]} == {"1"}
+
 
 class TestDensity:
     def test_rows_match_library(self, capsys):

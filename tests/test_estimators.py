@@ -80,6 +80,14 @@ class TestIncrementSummary:
                 epsilon=1e-9,
             )
 
+    def test_positions_edited_after_construction_are_checked(self):
+        # The summary reads the sample's positions as they are now, so a stride
+        # stretched to about 50 * c * delta after the step check is still rejected.
+        sample = DiscreteSample(FlightParams(rate=1.0, speed=1.0), 1.0, HAND_POSITIONS.copy())
+        sample.positions[2:, 0] += 50.0
+        with pytest.raises(InconsistentSampleError):
+            summarize_increments(sample)
+
     def test_epsilon_validation(self):
         with pytest.raises(ParameterError):
             hand_summary(epsilon=0.0)

@@ -144,8 +144,8 @@ def test_closed_forms_on_the_single_slack_sum(record):
 @given(samples(origin=ORIGINS),
        st.sampled_from((1e-9, 1e-6, 1e-3)))
 def test_sample_and_position_summaries_agree_bit_for_bit(sample, epsilon):
-    # The Monte Carlo path reads the sample's slack; the CLI path differences
-    # raw positions. Both must give the same statistics to the bit.
+    # summarize_increments on a sample and from_positions on its positions (the
+    # CLI's path) must give the same statistics to the bit.
     a = summarize_increments(sample, epsilon)
     b = IncrementSummary.from_positions(sample.positions, sample.delta, sample.params.speed,
                                         epsilon)

@@ -15,6 +15,7 @@ from pflight import (
     position_at,
     sample_at_grid,
     simulate_trajectory,
+    summarize_increments,
     vertex_positions,
 )
 
@@ -236,7 +237,7 @@ class TestDiscreteSample:
     def test_slack_per_stride(self):
         params = FlightParams(rate=1.0, speed=1.0)
         sample = DiscreteSample(params, 1.0, [[0.0, 0.0], [0.5, 0.0], [0.5, 0.25]])
-        assert sample.slack.tolist() == [0.75, 0.9375]
+        assert summarize_increments(sample).u.tolist() == [0.75, 0.9375]
         assert sample == DiscreteSample(params, 1.0, sample.positions)
 
     def test_n_property(self):
