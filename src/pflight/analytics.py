@@ -132,14 +132,6 @@ def planar_density_ac(params: FlightParams, t: float, point: tuple[float, float]
     return rate / (2.0 * math.pi * c) * math.exp((rate / c) * root - rate * t) / root
 
 
-def _radial_ac_origin(rate: float, c: float, t: float, r: float) -> float:
-    """Absolutely continuous radial density at 0 < r < c t, start at (0, 0)."""
-    ct = c * t
-    root = math.sqrt((ct - r) * (ct + r))
-    kappa = rate / c
-    return kappa * r * math.exp(kappa * root - rate * t) / root
-
-
 def radial_density_origin(params: FlightParams, t: float, r: float) -> DensityValue:
     """Density of the distance from the start, for a flight started at (0, 0)."""
     if params.origin != (0.0, 0.0):
@@ -152,7 +144,10 @@ def radial_density_origin(params: FlightParams, t: float, r: float) -> DensityVa
     ct = c * t
     if not 0.0 < r < ct:
         raise DomainError(f"r must lie in (0, {ct:.17g}), got {r}")
-    return DensityValue(ac=_radial_ac_origin(rate, c, t, r), singular_weight=math.exp(-rate * t))
+    root = math.sqrt((ct - r) * (ct + r))
+    kappa = rate / c
+    return DensityValue(ac=kappa * r * math.exp(kappa * root - rate * t) / root,
+                        singular_weight=math.exp(-rate * t))
 
 
 def radial_density_offset(params: FlightParams, t: float, r: float) -> DensityValue:
@@ -169,7 +164,8 @@ def radial_density_offset(params: FlightParams, t: float, r: float) -> DensityVa
     psi = psi_end - w^2 removes it, and A is evaluated through product
     trigonometric identities so it stays exactly nonnegative. At
     r = c t - rho0 the integral itself diverges (logarithmically in r)
-    and the returned value is +inf.
+    and the returned value is +inf. A start at the origin gives
+    ``radial_density_origin``'s values for r > 0 and ac = 0 at r = 0.
     """
     t = require_positive("t", t)
     rate, c = params.rate, params.speed
@@ -181,10 +177,8 @@ def radial_density_offset(params: FlightParams, t: float, r: float) -> DensityVa
     sw = math.exp(-lt)
 
     if rho0 == 0.0:
-        if not 0.0 <= r < ct:
-            raise DomainError(f"r must lie in [0, {ct:.17g}) for a start at the origin")
-        ac = 0.0 if r == 0.0 else _radial_ac_origin(rate, c, t, r)
-        return DensityValue(ac=ac, singular_weight=sw)
+        return (radial_density_origin(params, t, r) if r > 0.0
+                else DensityValue(ac=0.0, singular_weight=sw))
 
     a_max = (ct - r + rho0) * (ct + r - rho0)   # A at psi = 0
     if a_max <= 0.0:

@@ -21,7 +21,6 @@ from .analytics import (
     moment_closed_form,
     moment_quadrature,
     radial_density_offset,
-    radial_density_origin,
 )
 from .errors import NumericalError, ParameterError, require_int
 from .estimators import DEFAULT_EPSILON, ESTIMATORS, IncrementSummary
@@ -101,17 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
 def _write_lines(path: str, lines: Iterable[str]) -> None:
-    with _open_out(path) as fh:
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", encoding="utf-8")) as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
@@ -122,32 +113,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = SeedSpec(args.seed, args.stream)
     traj = simulate_trajectory(params, args.horizon, seed)
     if args.emit == "trajectory":
-        if args.format == "csv":
-            _write_lines(args.out, pfio.trajectory_csv_lines(traj))
-        else:
-            _write_lines(args.out, [pfio.trajectory_ndjson_line(traj)])
-        return 0
-    sample = sample_at_grid(traj, args.n)
-    if args.format == "csv":
-        _write_lines(args.out, pfio.sample_csv_lines(sample))
+        record, csv_lines, ndjson_line = traj, pfio.trajectory_csv_lines, pfio.trajectory_ndjson_line
     else:
-        _write_lines(args.out, [pfio.sample_ndjson_line(sample)])
+        record, csv_lines, ndjson_line = (sample_at_grid(traj, args.n), pfio.sample_csv_lines,
+                                          pfio.sample_ndjson_line)
+    _write_lines(args.out, csv_lines(record) if args.format == "csv" else [ndjson_line(record)])
     return 0
 
 
-def _read_positions(args: argparse.Namespace):
+def _cmd_estimate(args: argparse.Namespace) -> int:
     fmt = args.format
     if fmt == "auto":
         fmt = "ndjson" if args.infile.endswith((".ndjson", ".jsonl", ".json")) else "csv"
     with (contextlib.nullcontext(sys.stdin) if args.infile == "-"
           else open(args.infile, "r", encoding="utf-8")) as fh:
-        if fmt == "csv":
-            return pfio.read_positions_csv(fh)
-        return pfio.read_sample_ndjson(fh, speed=args.speed)
-
-
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    positions, delta = _read_positions(args)
+        positions, delta = (pfio.read_positions_csv(fh) if fmt == "csv"
+                            else pfio.read_sample_ndjson(fh, speed=args.speed))
     summary = IncrementSummary.from_positions(positions, delta, args.speed, args.epsilon)
     names = tuple(ESTIMATORS) if args.estimator == "all" else (args.estimator,)
     rows = [(ESTIMATORS[name][1](summary), summary.n_plus) for name in names]
@@ -160,15 +141,10 @@ def _cmd_density(args: argparse.Namespace) -> int:
     require_int("--points", args.points)
     if not args.r_min <= args.r_max:
         raise ParameterError(f"--r-min {args.r_min} must not exceed --r-max {args.r_max}")
-    offset = params.origin != (0.0, 0.0)
     lines = [pfio.DENSITY_HEADER]
     for i in range(args.points):
-        if args.points == 1:
-            r = args.r_min
-        else:
-            r = args.r_min + (args.r_max - args.r_min) * i / (args.points - 1)
-        value = (radial_density_offset(params, args.t, r) if offset
-                 else radial_density_origin(params, args.t, r))
+        r = args.r_min + (args.r_max - args.r_min) * i / max(args.points - 1, 1)
+        value = radial_density_offset(params, args.t, r)
         lines.append(f"{pfio.fmt_raw(r)},{pfio.fmt_raw(value.ac)},"
                      f"{pfio.fmt_raw(value.singular_weight)}")
     _write_lines(args.out, lines)

@@ -143,8 +143,9 @@ def sample_ndjson_line(sample: DiscreteSample) -> str:
 def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.ndarray, float]:
     """Read the one discrete-sample record of a file; returns (positions, delta).
 
-    Blank lines are ignored. The record's ``n`` must match its number of positions, and its
-    ``speed`` must equal ``speed`` when the caller gives one.
+    Blank lines are ignored. The record's ``delta``, ``n`` and ``speed`` must be JSON numbers
+    (not booleans), its ``n`` must match its number of positions, and its ``speed`` must
+    equal ``speed`` when the caller gives one.
     """
     lines = [line for line in map(str.strip, fh) if line]
     if len(lines) != 1:
@@ -158,9 +159,12 @@ def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.nd
         raise ParameterError(f"expected a discrete_sample record, got {kind!r}")
     try:
         positions = np.asarray(obj["positions"], dtype=np.float64)
-        delta = float(obj["delta"])
-        n, record_speed = obj["n"], obj["speed"]
-    except (KeyError, TypeError, ValueError) as exc:
+        meta = delta, n, record_speed = obj["delta"], obj["n"], obj["speed"]
+        if not all(type(v) in (int, float) for v in meta):
+            raise TypeError(f"delta, n and speed must be numbers, got {meta!r}")
+        delta = float(delta)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer too large for a float64, in delta or a position.
         raise ParameterError(f"malformed discrete_sample record: {exc}") from None
     if positions.ndim == 0 or n != positions.shape[0] - 1:
         raise ParameterError(

@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -27,7 +28,7 @@ from pflight import (
     run_experiment,
 )
 from pflight.cli import main
-from pflight.io import summary_csv_lines
+from pflight.io import fmt_raw, summary_csv_lines
 
 SIM_ARGS = [
     "simulate",
@@ -139,6 +140,15 @@ class TestEstimate:
         assert rows["pseudo_mle"] == "0"
         assert rows["indicator"] == "0"
 
+    def test_boolean_metadata_exits_2(self, capsys, tmp_path):
+        # JSON true would read as 1 and pass as delta, n and speed.
+        path = tmp_path / "bools.ndjson"
+        path.write_text('{"type":"discrete_sample","delta":true,"n":true,"speed":true,'
+                        '"positions":[[0,0],[0.5,0]]}\n')
+        code, out, err = run_cli(capsys, ["estimate", "--in", str(path), "--c", "1"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ParameterError"
+
     @pytest.mark.parametrize("epsilon, expected_code", [(None, 2), ("1e-3", 0)])
     def test_long_stride_limit_is_epsilon(self, capsys, tmp_path, epsilon, expected_code):
         # |step|^2 = 1.0004^2 = 1.0008 (c * delta)^2: beyond the default epsilon,
@@ -178,6 +188,23 @@ class TestDensity:
             ref = radial_density_origin(params, 1.0, r)
             assert ac == ref.ac
             assert sw == ref.singular_weight
+
+    def test_origin_start_from_r_zero(self, capsys):
+        # At r = 0 the absolutely continuous part is 0; only the atom's weight is left.
+        code, out, err = run_cli(
+            capsys,
+            ["density", "--lambda", "1", "--c", "1", "--t", "1",
+             "--r-min", "0", "--r-max", "0.9", "--points", "4"],
+        )
+        assert code == 0, err
+        lines = out.strip().split("\n")
+        assert len(lines) == 5
+        assert lines[1] == f"0,0,{fmt_raw(math.exp(-1.0))}"
+        params = FlightParams(rate=1.0, speed=1.0)
+        for line in lines[2:]:
+            r = float(line.split(",")[0])
+            ref = radial_density_origin(params, 1.0, r)
+            assert line == f"{fmt_raw(r)},{fmt_raw(ref.ac)},{fmt_raw(ref.singular_weight)}"
 
     def test_offset_start_uses_annulus_form(self, capsys):
         code, out, _ = run_cli(

@@ -179,6 +179,24 @@ class TestNdjson:
             with pytest.raises(ParameterError, match="expected a discrete_sample record"):
                 read_sample_ndjson(io.StringIO(text))
 
+    def test_metadata_must_be_numbers(self):
+        # JSON true reads as 1 in Python; it is neither a spacing, a count nor a speed.
+        obj = {"type": "discrete_sample", "delta": 1, "n": 1, "speed": 1,
+               "positions": [[0, 0], [0.5, 0]]}
+        for good in (obj, dict(obj, delta=0.5, n=1.0, speed=1.0)):
+            positions, delta = read_sample_ndjson(io.StringIO(json.dumps(good)), speed=1.0)
+            assert positions.tolist() == [[0.0, 0.0], [0.5, 0.0]]
+            assert delta == good["delta"] and type(delta) is float
+        for key in ("delta", "n", "speed"):
+            for bad in (True, False, "1", None, [1]):
+                with pytest.raises(ParameterError, match="must be numbers"):
+                    read_sample_ndjson(io.StringIO(json.dumps(dict(obj, **{key: bad}))),
+                                       speed=1.0)
+        # An integer beyond float64's range, as a spacing or a coordinate.
+        for huge in (dict(obj, delta=10**400), dict(obj, positions=[[0, 0], [10**400, 0]])):
+            with pytest.raises(ParameterError, match="malformed discrete_sample record"):
+                read_sample_ndjson(io.StringIO(json.dumps(huge)), speed=1.0)
+
     def test_rejects_n_mismatch(self):
         _, sample = make_sample()
         obj = json.loads(sample_ndjson_line(sample))

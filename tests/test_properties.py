@@ -30,7 +30,6 @@ from pflight import (
     sample_at_grid,
     score,
     simulate_trajectory,
-    summarize_increments,
     vertex_positions,
 )
 from pflight import montecarlo
@@ -124,35 +123,29 @@ def test_score_vanishes_at_pseudo_mle(record):
     assert abs(score(summary, hat)) <= 1e-12 * scale
 
 
+# At epsilon = 2^-10 - 2^-22 the first stride's slack is exactly the turn tolerance (not
+# turned), the second's lies between it and twice it (turned), and the third's is 0.75.
+AT_TOLERANCE = DiscreteSample(FlightParams(rate=1.0, speed=1.0), 1.0, np.array(
+    [[0.0, 0.0], [1.0 - 2.0**-11, 0.0], [2.0 - 3.0 * 2.0**-11, 0.0], [2.0 - 3.0 * 2.0**-11, 0.5]]))
+
+
 @PROPERTY
-@given(records())
-def test_closed_forms_on_the_single_slack_sum(record):
-    positions, delta, speed = record
-    summary = IncrementSummary.from_positions(positions, delta, speed)
-    n, c, s = summary.n, speed, summary.sum_sqrt_u_turned
-    # S is the sum of sqrt(u) over turned strides, computed here apart.
+@given(samples(origin=ORIGINS), st.sampled_from((1e-9, 1e-6, 1e-3)))
+@example(AT_TOLERANCE, 2.0**-10 - 2.0**-22)
+def test_closed_forms_on_the_single_slack_sum(sample, epsilon):
+    positions, delta, c = sample.positions, sample.delta, sample.params.speed
+    summary = IncrementSummary.from_positions(positions, delta, c, epsilon)
+    n, s = summary.n, summary.sum_sqrt_u_turned
+    # The slacks, turned strides and S, computed here apart.
     slack = (c * delta) ** 2 - np.sum(np.diff(positions, axis=0) ** 2, axis=1)
-    turned = slack > summary.epsilon * (c * delta) ** 2
+    turned = slack > epsilon * (c * delta) ** 2
+    assert summary.u.tobytes() == np.maximum(slack, 0.0).tobytes()
+    assert np.array_equal(turned, summary.turned)
     assert turned.sum() == summary.n_plus
     assert s == pytest.approx(math.fsum(np.sqrt(slack[turned])), rel=1e-12, abs=1e-300)
     assume(c * n * delta - s > 0.0)
     assert pseudo_mle(summary).value == c * summary.n_plus / (c * n * delta - s)
     assert modified_mle(summary).value == c * n / (c * n * delta - s)
-
-
-@PROPERTY
-@given(samples(origin=ORIGINS),
-       st.sampled_from((1e-9, 1e-6, 1e-3)))
-def test_sample_and_position_summaries_agree_bit_for_bit(sample, epsilon):
-    # summarize_increments on a sample and from_positions on its positions (the
-    # CLI's path) must give the same statistics to the bit.
-    a = summarize_increments(sample, epsilon)
-    b = IncrementSummary.from_positions(sample.positions, sample.delta, sample.params.speed,
-                                        epsilon)
-    assert a.u.tobytes() == b.u.tobytes()
-    assert np.array_equal(a.turned, b.turned)
-    assert (a.n, a.n_plus) == (b.n, b.n_plus)
-    assert a.sum_sqrt_u_turned == b.sum_sqrt_u_turned
 
 
 @PROPERTY
