@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: simulate, estimate, density, moments, fisher, mc. Tables go
-to --out (default stdout). Validation problems exit with code 2, runtime
-numerical failures with code 1; both print a one-line JSON error record to
-stderr. The PFL_THREADS environment variable (0 = auto) sets the number of
-Monte Carlo worker processes.
+to --out (default stdout). Arithmetic failures (a NumericalError, an overflow,
+a division by zero) exit with code 1, invalid input and I/O problems with code 2;
+each prints a one-line JSON error record to stderr. The PFL_THREADS environment
+variable (0 = auto) sets the number of Monte Carlo worker processes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .analytics import (
     moment_quadrature,
     radial_density_offset,
 )
-from .errors import NumericalError, ParameterError, require_int
+from .errors import ParameterError, require_int, require_nonnegative
 from .estimators import DEFAULT_EPSILON, ESTIMATORS, IncrementSummary
 from .montecarlo import config_from_json, run_experiment
 from .seeding import SeedSpec
@@ -35,21 +35,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Planar random flights: simulation, analytics, rate estimation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def flight(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--lambda", dest="rate", type=float, required=True,
+                       help="direction-change rate")
+        p.add_argument("--c", dest="speed", type=float, required=True, help="speed")
+
+    def start(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--x0", type=float, default=0.0, help="start x (default 0)")
+        p.add_argument("--y0", type=float, default=0.0, help="start y (default 0)")
+
+    def out(p: argparse.ArgumentParser, func) -> None:
+        p.add_argument("--out", default="-", help="output path (default stdout)")
+        p.set_defaults(func=func)
+
     sim = sub.add_parser("simulate", help="simulate one flight and print positions")
-    sim.add_argument("--lambda", dest="rate", type=float, required=True,
-                     help="direction-change rate")
-    sim.add_argument("--c", dest="speed", type=float, required=True, help="speed")
+    flight(sim)
     sim.add_argument("--T", dest="horizon", type=float, required=True, help="time horizon")
     sim.add_argument("--n", type=int, required=True, help="number of observation steps")
     sim.add_argument("--seed", type=int, required=True, help="master seed")
     sim.add_argument("--stream", type=int, default=0, help="stream index (default 0)")
-    sim.add_argument("--x0", type=float, default=0.0, help="start x (default 0)")
-    sim.add_argument("--y0", type=float, default=0.0, help="start y (default 0)")
+    start(sim)
     sim.add_argument("--emit", choices=("sample", "trajectory"), default="sample",
                      help="grid sample (default) or the event-time polyline")
     sim.add_argument("--format", choices=("csv", "ndjson"), default="csv")
-    sim.add_argument("--out", default="-", help="output path (default stdout)")
-    sim.set_defaults(func=_cmd_simulate)
+    out(sim, _cmd_simulate)
 
     est = sub.add_parser("estimate", help="estimate the rate from a position table")
     est.add_argument("--in", dest="infile", required=True,
@@ -59,43 +68,35 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                      help="turn-classification tolerance (default %(default)g)")
     est.add_argument("--format", choices=("auto", "csv", "ndjson"), default="auto")
-    est.add_argument("--out", default="-")
-    est.set_defaults(func=_cmd_estimate)
+    out(est, _cmd_estimate)
 
     den = sub.add_parser("density", help="radial density values on an r grid")
-    den.add_argument("--lambda", dest="rate", type=float, required=True)
-    den.add_argument("--c", dest="speed", type=float, required=True)
+    flight(den)
     den.add_argument("--t", type=float, required=True, help="elapsed time")
-    den.add_argument("--x0", type=float, default=0.0)
-    den.add_argument("--y0", type=float, default=0.0)
+    start(den)
     den.add_argument("--r-min", type=float, required=True)
     den.add_argument("--r-max", type=float, required=True)
     den.add_argument("--points", type=int, default=101,
                      help="number of grid points (default 101)")
-    den.add_argument("--out", default="-")
-    den.set_defaults(func=_cmd_density)
+    out(den, _cmd_density)
 
     mom = sub.add_parser("moments", help="radial moments, closed form and quadrature")
-    mom.add_argument("--lambda", dest="rate", type=float, required=True)
-    mom.add_argument("--c", dest="speed", type=float, required=True)
+    flight(mom)
     mom.add_argument("--t", type=float, required=True)
     mom.add_argument("--p-max", type=int, required=True, help="largest moment order")
-    mom.add_argument("--out", default="-")
-    mom.set_defaults(func=_cmd_moments)
+    out(mom, _cmd_moments)
 
     fis = sub.add_parser("fisher", help="Fisher information of the discretized flight")
     fis.add_argument("--lambda", dest="rate", type=float, required=True)
     fis.add_argument("--delta", type=float, required=True, help="observation spacing")
     fis.add_argument("--n", type=int, required=True, help="number of observations")
-    fis.add_argument("--out", default="-")
-    fis.set_defaults(func=_cmd_fisher)
+    out(fis, _cmd_fisher)
 
     mc = sub.add_parser("mc", help="Monte Carlo study from a JSON config")
     mc.add_argument("--config", required=True, help="JSON config path")
-    mc.add_argument("--out", default="-", help="summary CSV path (default stdout)")
+    out(mc, _cmd_mc)
     mc.add_argument("--raw", default=None,
                     help="also write per-replication NDJSON records here")
-    mc.set_defaults(func=_cmd_mc)
 
     return parser
 
@@ -139,6 +140,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_density(args: argparse.Namespace) -> int:
     params = FlightParams(rate=args.rate, speed=args.speed, origin=(args.x0, args.y0))
     require_int("--points", args.points)
+    require_nonnegative("--r-min", args.r_min)
+    require_nonnegative("--r-max", args.r_max)
     if not args.r_min <= args.r_max:
         raise ParameterError(f"--r-min {args.r_min} must not exceed --r-max {args.r_max}")
     lines = [pfio.DENSITY_HEADER]
@@ -191,21 +194,13 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as exc:
-        _print_error(args.command, exc)
-        return 1
-    except (ValueError, OSError) as exc:
-        _print_error(args.command, exc)
-        return 2
-
-
-def _print_error(command: str, exc: Exception) -> None:
-    record = {"error": type(exc).__name__, "message": str(exc), "command": command}
-    print(json.dumps(record), file=sys.stderr)
+    except (ArithmeticError, ValueError, OSError) as exc:
+        record = {"error": type(exc).__name__, "message": str(exc), "command": args.command}
+        print(json.dumps(record), file=sys.stderr)
+        return 1 if isinstance(exc, ArithmeticError) else 2
 
 
 if __name__ == "__main__":

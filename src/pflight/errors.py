@@ -69,10 +69,10 @@ class BesselOverflowError(NumericalError):
         self.scaled_value = scaled_value
 
 
-# The concrete-type tests come first because the ABC isinstance checks
-# cost several times more; seeding calls require_int five times per replication.
+# Neither accepts a bool. The concrete-type tests come first because the ABC isinstance
+# checks cost several times more; seeding calls require_int five times per replication.
 def _is_real(value) -> bool:
-    return isinstance(value, (float, int)) or isinstance(value, Real)
+    return isinstance(value, float) or (type(value) is not bool and isinstance(value, (int, Real)))
 
 
 def _is_int(value) -> bool:

@@ -214,19 +214,11 @@ def resolve_worker_count(workers: int | None = None) -> int:
     """Explicit count, else the count PFL_THREADS sets, else one per CPU (0 = auto)."""
     if workers is None:
         raw = os.environ.get("PFL_THREADS", "").strip()
-        if raw == "":
-            workers = 0
-        else:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ParameterError(f"PFL_THREADS must be an integer, got {raw!r}") from None
-    workers = int(workers)
-    if workers < 0:
-        raise ParameterError(f"worker count must be >= 0, got {workers}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return workers
+        try:
+            workers = int(raw) if raw else 0
+        except ValueError:
+            raise ParameterError(f"PFL_THREADS must be an integer, got {raw!r}") from None
+    return require_int("worker count", workers, 0) or os.cpu_count() or 1
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> ExperimentOutcome:

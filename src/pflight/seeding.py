@@ -47,7 +47,7 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_index"):
-            require_int(name, getattr(self, name), 0, 1 << 64)
+            object.__setattr__(self, name, require_int(name, getattr(self, name), 0, 1 << 64))
 
     def state(self) -> int:
         """64-bit generator state derived from (master_seed, stream_index)."""
@@ -66,8 +66,8 @@ def replication_stream(lambda_index: int, n_index: int, rep_index: int) -> int:
     distinct stream indices: the packing is injective and splitmix64 is a
     bijection.
     """
-    require_int("lambda_index", lambda_index, 0, 1 << 20)
-    require_int("n_index", n_index, 0, 1 << 20)
-    require_int("rep_index", rep_index, 0, 1 << 24)
+    lambda_index = require_int("lambda_index", lambda_index, 0, 1 << 20)
+    n_index = require_int("n_index", n_index, 0, 1 << 20)
+    rep_index = require_int("rep_index", rep_index, 0, 1 << 24)
     packed = (lambda_index << 44) | (n_index << 24) | rep_index
     return splitmix64(packed)

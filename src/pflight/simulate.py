@@ -172,7 +172,7 @@ def simulate_trajectory(params: FlightParams, horizon: float,
     U in (0, 1]. The draw is fully determined by ``seed``.
     """
     if isinstance(seed, (int, np.integer)):
-        seed = SeedSpec(int(seed))
+        seed = SeedSpec(seed)
     horizon = require_positive("horizon", horizon)
     events, directions = _draw(seed.generator(), params.rate, horizon)
     return Trajectory(params=params, horizon=horizon,

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -228,6 +229,23 @@ class TestDensity:
         )
 
 
+    @pytest.mark.parametrize("x0, r_min, r_max, flag", [
+        ("0.3", "0.5", "inf", "--r-max"),   # (inf - 0.5) * 0 would be a NaN radius
+        ("0.3", "0.5", "nan", "--r-max"),
+        ("0", "-0.5", "0.5", "--r-min"),
+    ])
+    def test_bounds_must_be_finite_and_nonnegative(self, capsys, x0, r_min, r_max, flag):
+        code, out, err = run_cli(
+            capsys,
+            ["density", "--lambda", "1", "--c", "1", "--t", "1", "--x0", x0,
+             "--r-min", r_min, "--r-max", r_max, "--points", "1"],
+        )
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["error"] == "ParameterError"
+        assert record["message"].startswith(f"{flag} must be finite and >= 0")
+
+
 class TestMomentsAndFisher:
     def test_moments_rows(self, capsys):
         code, out, _ = run_cli(
@@ -330,6 +348,15 @@ class TestMonteCarloCommand:
             record = json.loads(err)
             assert record["error"] == "ParameterError"
             assert f"duplicate values in {field}" in record["message"]
+
+
+    def test_boolean_reals_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"lambda_grid": [True], "n_grid": [10], "T": True,
+                                    "c": True, "reps": 3, "master_seed": 1}))
+        code, out, err = run_cli(capsys, ["mc", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ParameterError"
 
 
 class TestErrorHandling:
@@ -450,10 +477,85 @@ class TestErrorHandling:
         assert set(record) == {"error", "message", "command"}
         assert (record["error"], record["command"]) == ("NumericalError", "estimate")
 
+    @pytest.mark.parametrize("argv, error", [
+        (["moments", "--lambda", "1", "--c", "1", "--t", "1", "--p-max", "400"],
+         "OverflowError"),
+        (["fisher", "--lambda", "1e-300", "--delta", "1e-300", "--n", "5"],
+         "ZeroDivisionError"),
+    ])
+    def test_arithmetic_failure_exits_1(self, capsys, argv, error):
+        # Any ArithmeticError, not only NumericalError, is a numerical failure.
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        record = json.loads(err)
+        assert (record["error"], record["command"]) == (error, argv[0])
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--bogus", "1"])
         assert exc.value.code == 2
+
+
+class TestGoldenOutput:
+    """sha256 of the bytes each subcommand writes, so that a refactor keeps every one."""
+
+    START = SIM_ARGS + ["--x0", "3.5", "--y0", "-1.25"]
+    DENSITY = ["density", "--lambda", "1.0", "--c", "1.0", "--t", "1.0",
+               "--r-min", "0", "--r-max", "0.9", "--points", "7"]
+    MC_CONFIG = {"lambda_grid": [0.5, 2.0], "n_grid": [20, 50], "T": 50.0, "reps": 20,
+                 "master_seed": 11}
+    # Pinned before the shared flag helpers and the single exit-code rule; a change
+    # to any of these bytes is an output change, not a refactor.
+    DIGESTS = {
+        "simulate sample csv": "bbc585b857d1354be3bdd3e75b5029c66447a2d82711a4005b8f4dacc581f4f4",
+        "simulate sample ndjson": "d36a51df5497124ae023f3b2447493fabf17144d6de0f9053a6862992bea8d50",
+        "simulate trajectory csv": "e4f65841bf6af7a8fbc70d70b2a2a0b83ad473b20c2c0b47e9c2642f17cac20b",
+        "simulate trajectory ndjson": "316e46ee5103d1cd2e880670d866eb6ee2f3ee90a04cf440f28baea700369b68",
+        "estimate csv": "3d8da986f17ecc8b78937c317f93a04aaf588ad27e7d15e03b4a292eca597c21",
+        "estimate ndjson": "3d8da986f17ecc8b78937c317f93a04aaf588ad27e7d15e03b4a292eca597c21",
+        "estimate epsilon": "3d8da986f17ecc8b78937c317f93a04aaf588ad27e7d15e03b4a292eca597c21",
+        "density origin": "321d8498de5fcf6ae7a6d916155d6f118f5a7eae2e259c81706d8881f356d5f5",
+        "density offset": "3c6673ab9c68d3f3d4417ebcbbc8accf6b2ceccacdd95c4885fb6ce58133d85f",
+        "moments": "03c2a708f2a10644eda54629bf51222a6b72b7d0db72c24075682df4e7475d40",
+        "fisher": "3377cca248e88fe9b99ffc162ea95476676fa586f0d114fccf240dbc9b235b8c",
+        "mc summary": "414418bf63e48b242b06a69da253a1b9795c146c0bddeeaf3c3ce6a6b46b9116",
+        "mc raw": "59656f949c5aec53d1070f6147a15bdda1e1acf9c19a7d12409ec1c34dc049eb",
+    }
+
+    def outputs(self, capsys, tmp_path):
+        out = {}
+
+        def run(name, argv):
+            code, text, err = run_cli(capsys, argv)
+            assert code == 0, err
+            out[name] = text
+
+        for emit in ("sample", "trajectory"):
+            for fmt in ("csv", "ndjson"):
+                run(f"simulate {emit} {fmt}", self.START + ["--emit", emit, "--format", fmt])
+        for fmt in ("csv", "ndjson"):
+            path = tmp_path / f"sample.{fmt}"
+            path.write_text(out[f"simulate sample {fmt}"])
+            run(f"estimate {fmt}", ["estimate", "--in", str(path), "--c", "1.0",
+                                    "--estimator", "all"])
+        run("estimate epsilon", ["estimate", "--in", str(tmp_path / "sample.csv"),
+                                 "--c", "1.0", "--epsilon", "1e-4"])
+        run("density origin", self.DENSITY)
+        run("density offset", self.DENSITY + ["--x0", "0.2", "--y0", "-0.1"])
+        run("moments", ["moments", "--lambda", "1.0", "--c", "1.0", "--t", "1.0",
+                        "--p-max", "3"])
+        run("fisher", ["fisher", "--lambda", "2.0", "--delta", "0.5", "--n", "100"])
+        config, raw = tmp_path / "config.json", tmp_path / "raw.ndjson"
+        config.write_text(json.dumps(self.MC_CONFIG))
+        run("mc summary", ["mc", "--config", str(config), "--raw", str(raw)])
+        out["mc raw"] = raw.read_text()
+        return out
+
+    def test_digests(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("PFL_THREADS", "1")
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in self.outputs(capsys, tmp_path).items()}
+        assert digests == self.DIGESTS
 
 
 class TestInstalledScript:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pflight import ParameterError, SeedSpec, replication_stream, splitmix64
+from pflight import (FlightParams, ParameterError, SeedSpec, replication_stream,
+                     simulate_trajectory, splitmix64)
 
 
 class TestSplitmix64:
@@ -67,6 +68,21 @@ class TestSeedSpec:
             SeedSpec(1.0)
         with pytest.raises(ParameterError):
             SeedSpec(True)
+
+    def test_numpy_integers_seed_like_python_ints(self):
+        # The checked Python ints are what the mix sees; numpy scalars would overflow it.
+        spec = SeedSpec(np.int64(20250817), np.uint64(3))
+        assert spec.state() == SeedSpec(20250817, 3).state() == 15215573971680851123
+        stream = replication_stream(np.int64(1), np.int32(2), np.uint64(3))
+        assert stream == replication_stream(1, 2, 3)
+        params = FlightParams(rate=1.0, speed=1.0)
+        assert np.array_equal(simulate_trajectory(params, 5.0, np.int64(7)).event_times,
+                              simulate_trajectory(params, 5.0, 7).event_times)
+
+    def test_bool_seed_rejected(self):
+        # True is an int, but not a seed: it must not run seed 1.
+        with pytest.raises(ParameterError, match="master_seed"):
+            simulate_trajectory(FlightParams(rate=1.0, speed=1.0), 5.0, True)
 
 
 class TestReplicationStream:
