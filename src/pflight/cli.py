@@ -113,6 +113,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     params = FlightParams(rate=args.rate, speed=args.speed, origin=(args.x0, args.y0))
     seed = SeedSpec(args.seed, args.stream)
     traj = simulate_trajectory(params, args.horizon, seed)
+    require_int("n", args.n)  # for both emits, though a trajectory does not use n
     if args.emit == "trajectory":
         record, csv_lines, ndjson_line = traj, pfio.trajectory_csv_lines, pfio.trajectory_ndjson_line
     else:
@@ -144,38 +145,29 @@ def _cmd_density(args: argparse.Namespace) -> int:
     require_nonnegative("--r-max", args.r_max)
     if not args.r_min <= args.r_max:
         raise ParameterError(f"--r-min {args.r_min} must not exceed --r-max {args.r_max}")
-    lines = [pfio.DENSITY_HEADER]
+    rows = []
     for i in range(args.points):
         r = args.r_min + (args.r_max - args.r_min) * i / max(args.points - 1, 1)
         value = radial_density_offset(params, args.t, r)
-        lines.append(f"{pfio.fmt_raw(r)},{pfio.fmt_raw(value.ac)},"
-                     f"{pfio.fmt_raw(value.singular_weight)}")
-    _write_lines(args.out, lines)
+        rows.append((r, value.ac, value.singular_weight))
+    _write_lines(args.out, pfio.csv_lines(pfio.DENSITY_HEADER, rows))
     return 0
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     params = FlightParams(rate=args.rate, speed=args.speed)
     require_int("--p-max", args.p_max)
-    lines = [pfio.MOMENTS_HEADER]
-    for p in range(1, args.p_max + 1):
-        closed = moment_closed_form(params, args.t, p)
-        quad = moment_quadrature(params, args.t, p)
-        lines.append(f"{p},{pfio.fmt_raw(closed)},{pfio.fmt_raw(quad)}")
-    _write_lines(args.out, lines)
+    rows = [(p, moment_closed_form(params, args.t, p), moment_quadrature(params, args.t, p))
+            for p in range(1, args.p_max + 1)]
+    _write_lines(args.out, pfio.csv_lines(pfio.MOMENTS_HEADER, rows))
     return 0
 
 
 def _cmd_fisher(args: argparse.Namespace) -> int:
     info = fisher_info(args.rate, args.delta, args.n)
-    lines = [
-        pfio.FISHER_HEADER,
-        (f"{pfio.fmt_raw(args.rate)},{pfio.fmt_raw(args.delta)},{info.n},"
-         f"{pfio.fmt_raw(info.per_observation)},"
-         f"{pfio.fmt_raw(info.idealized_per_observation)},{pfio.fmt_raw(info.total)},"
-         f"{pfio.fmt_raw(info.full_per_observation)}"),
-    ]
-    _write_lines(args.out, lines)
+    row = (args.rate, args.delta, info.n, info.per_observation, info.idealized_per_observation,
+           info.total, info.full_per_observation)
+    _write_lines(args.out, pfio.csv_lines(pfio.FISHER_HEADER, [row]))
     return 0
 
 

@@ -1,16 +1,21 @@
 """Serialization: position tables as CSV, entities as NDJSON.
 
-Raw numeric output is printed with 17 significant digits so every float64
-round-trips exactly; Monte Carlo summary tables use 6 significant digits.
-JSON has no representation for non-finite floats, so a saturated or failed
-estimate serializes as ``null`` plus a boolean flag.
+``csv_lines`` is the one place a CSV cell is formatted, for every table
+pflight writes: floats go through its ``fmt``, bools are written
+``true``/``false``, ints and strings through ``str``. Raw numeric output is
+printed with 17 significant digits so every float64 round-trips exactly;
+Monte Carlo summary tables use 6 significant digits. Writers format the
+Python floats of ``ndarray.tolist()``, not numpy scalars. JSON has no
+representation for non-finite floats, so a saturated or failed estimate
+serializes as ``null`` plus a boolean flag.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator, TextIO
+from itertools import count
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -41,8 +46,15 @@ def fmt_summary(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
+def csv_lines(header: str, rows: Iterable[tuple], fmt: Callable[[float], str] = fmt_raw
+              ) -> Iterator[str]:
+    """The header, then one line per row: floats through ``fmt``, bools as true/false,
+    anything else through ``str``."""
+    yield header
+    for row in rows:
+        yield ",".join([fmt(v) if isinstance(v, float)
+                        else ("true" if v else "false") if isinstance(v, bool)
+                        else str(v) for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +62,9 @@ def _bool(b: bool) -> str:
 # ---------------------------------------------------------------------------
 
 def positions_csv_lines(times: np.ndarray, positions: np.ndarray) -> Iterator[str]:
-    yield POSITIONS_HEADER
-    for i, (t, (x, y)) in enumerate(zip(times, positions)):
-        yield f"{i},{fmt_raw(t)},{fmt_raw(x)},{fmt_raw(y)}"
+    xs, ys = np.asarray(positions, dtype=np.float64).T.tolist()
+    return csv_lines(POSITIONS_HEADER,
+                     zip(count(), np.asarray(times, dtype=np.float64).tolist(), xs, ys))
 
 
 def sample_csv_lines(sample: DiscreteSample) -> Iterator[str]:
@@ -74,8 +86,7 @@ def read_positions_csv(fh: TextIO) -> tuple[np.ndarray, float]:
     header = fh.readline().strip()
     if header != POSITIONS_HEADER:
         raise ParameterError(f"expected header {POSITIONS_HEADER!r}, got {header!r}")
-    times: list[float] = []
-    rows: list[tuple[float, float]] = []
+    rows: list[tuple[float, float, float]] = []
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
@@ -85,27 +96,27 @@ def read_positions_csv(fh: TextIO) -> tuple[np.ndarray, float]:
             raise ParameterError(f"line {lineno}: expected 4 fields, got {len(parts)}")
         try:
             i = int(parts[0])
-            t, x, y = (float(v) for v in parts[1:])
+            row = (float(parts[1]), float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise ParameterError(f"line {lineno}: {exc}") from None
         if i != len(rows):
             raise ParameterError(f"line {lineno}: expected index {len(rows)}, got {i}")
-        times.append(t)
-        rows.append((x, y))
+        rows.append(row)
     if len(rows) < 2:
         raise ParameterError("need at least two position rows")
-    if times[0] != 0.0:
-        raise ParameterError(f"time grid must start at 0, got {times[0]}")
+    if rows[0][0] != 0.0:
+        raise ParameterError(f"time grid must start at 0, got {rows[0][0]}")
     n = len(rows) - 1
-    delta = times[1] - times[0]
+    delta = rows[1][0] - rows[0][0]
     if delta <= 0.0:
         raise ParameterError(f"non-increasing time grid: delta = {delta}")
-    grid = np.asarray(times)
+    table = np.array(rows)
+    grid = table[:, 0]
     expected = np.arange(n + 1) * delta
     # Written so that a NaN time fails the test.
     if not np.max(np.abs(grid - expected)) <= 1e-9 * max(delta, grid[-1]):
         raise ParameterError("time column is non-finite or not an equidistant grid")
-    return np.asarray(rows, dtype=np.float64), delta
+    return np.ascontiguousarray(table[:, 1:]), delta
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +136,14 @@ def trajectory_ndjson_line(traj: Trajectory) -> str:
     return ("{"
             f'"type":"trajectory","rate":{fmt_json(p.rate)},"speed":{fmt_json(p.speed)},'
             f'"origin":{_json_pair(*p.origin)},"horizon":{fmt_json(traj.horizon)},'
-            f'"event_times":{_json_array(traj.event_times)},'
-            f'"directions":{_json_array(traj.directions)}'
+            f'"event_times":{_json_array(traj.event_times.tolist())},'
+            f'"directions":{_json_array(traj.directions.tolist())}'
             "}")
 
 
 def sample_ndjson_line(sample: DiscreteSample) -> str:
     p = sample.params
-    pos = ",".join(_json_pair(x, y) for x, y in sample.positions)
+    pos = ",".join([_json_pair(x, y) for x, y in sample.positions.tolist()])
     return ("{"
             f'"type":"discrete_sample","rate":{fmt_json(p.rate)},"speed":{fmt_json(p.speed)},'
             f'"origin":{_json_pair(*p.origin)},"delta":{fmt_json(sample.delta)},'
@@ -180,22 +191,17 @@ def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.nd
 
 def estimates_csv_lines(rows: Iterable[tuple[Estimate, int]]) -> Iterator[str]:
     """Rows are (estimate, n_plus) pairs."""
-    yield ESTIMATES_HEADER
-    for est, n_plus in rows:
-        yield (f"{est.kind},{fmt_raw(est.value)},{fmt_raw(est.stderr)},"
-               f"{est.n},{fmt_raw(est.delta)},{n_plus},{_bool(est.saturated)}")
+    return csv_lines(ESTIMATES_HEADER, ((est.kind, est.value, est.stderr, est.n, est.delta,
+                                         n_plus, est.saturated) for est, n_plus in rows))
 
 
 def summary_csv_lines(outcome) -> Iterator[str]:
     """Rows of a Monte Carlo outcome's cell summaries."""
-    yield SUMMARY_HEADER
     cfg = outcome.config
-    for s in outcome.summaries:
-        delta = cfg.horizon / s.n
-        yield (f"{fmt_summary(s.rate)},{fmt_summary(cfg.speed)},{fmt_summary(cfg.horizon)},"
-               f"{s.n},{fmt_summary(delta)},{s.estimator},{s.reps},"
-               f"{fmt_summary(s.bias)},{fmt_summary(s.rmse)},"
-               f"{fmt_summary(s.min_value)},{fmt_summary(s.max_value)},{s.saturated_count}")
+    return csv_lines(SUMMARY_HEADER, (
+        (s.rate, cfg.speed, cfg.horizon, s.n, cfg.horizon / s.n, s.estimator, s.reps,
+         s.bias, s.rmse, s.min_value, s.max_value, s.saturated_count)
+        for s in outcome.summaries), fmt_summary)
 
 
 def raw_ndjson_lines(outcome) -> Iterator[str]:
@@ -203,12 +209,12 @@ def raw_ndjson_lines(outcome) -> Iterator[str]:
     cfg = outcome.config
     for li, rate in enumerate(cfg.lambda_grid):
         for ni, n in enumerate(cfg.n_grid):
-            arrays = {name: outcome.values[(li, ni, name)] for name in cfg.estimators}
+            columns = [(ESTIMATOR_KINDS[name], outcome.values[(li, ni, name)].tolist())
+                       for name in cfg.estimators]
             for rep in range(cfg.reps):
                 fields = []
-                for name in cfg.estimators:
-                    v = arrays[name][rep]
-                    kind = ESTIMATOR_KINDS[name]
+                for kind, values in columns:
+                    v = values[rep]
                     if math.isnan(v):
                         fields.append(f'"{kind}":{{"value":null,"failed":true}}')
                     elif math.isinf(v):

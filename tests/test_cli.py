@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.metadata
+import io
 import json
 import math
 import os
@@ -84,6 +85,14 @@ class TestSimulate:
         assert out == ""
         assert path.read_text().startswith("i,t,x,y\n")
 
+    @pytest.mark.parametrize("emit", ["sample", "trajectory"])
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_n_checked_for_every_emit(self, capsys, emit, n):
+        argv = [*SIM_ARGS[:SIM_ARGS.index("--n")], "--n", n, "--seed", "42", "--emit", emit]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == f"n must be an integer >= 1, got {n}"
+
 
 class TestEstimate:
     def make_sample_file(self, capsys, tmp_path, fmt="csv"):
@@ -129,6 +138,15 @@ class TestEstimate:
             capsys, ["estimate", "--in", str(nd_path), "--c", "1.0"]
         )
         assert out_csv == out_nd
+
+    @pytest.mark.parametrize("fmt, flags", [("csv", []), ("ndjson", ["--format", "ndjson"])])
+    def test_reads_stdin(self, capsys, tmp_path, monkeypatch, fmt, flags):
+        path = self.make_sample_file(capsys, tmp_path, fmt)
+        _, from_file, _ = run_cli(capsys, ["estimate", "--in", str(path), "--c", "1.0"])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+        code, from_stdin, err = run_cli(capsys, ["estimate", "--in", "-", "--c", "1.0", *flags])
+        assert (code, err) == (0, "")
+        assert from_stdin == from_file
 
     def test_no_turn_prints_positive_zero(self, capsys, tmp_path):
         # A straight record: no stride turned, and both estimators that read

@@ -112,6 +112,36 @@ class TestPositionsCsv:
         positions, delta = read_positions_csv(io.StringIO(text))
         assert positions.shape == (2, 2)
 
+    def test_reads_what_int_and_float_accept(self):
+        # Whitespace-only lines are blank, fields may be padded, and "1_0" is
+        # what float() makes of it.
+        text = "i,t,x,y\n 0 ,0,0,0\n  \t\n1,1_0, 0.5 ,-0.0 \n"
+        positions, delta = read_positions_csv(io.StringIO(text))
+        assert delta == 10.0
+        assert positions.tobytes() == np.array([[0.0, 0.0], [0.5, -0.0]]).tobytes()
+
+    # Each line-numbered case follows a blank line, which still counts.
+    @pytest.mark.parametrize("text, message", [
+        ("i,t,x\n0,0,0,0\n", "expected header 'i,t,x,y', got 'i,t,x'"),
+        ("i,t,x,y\n0,0,0,0\n\n1,1,1\n", "line 4: expected 4 fields, got 3"),
+        ("i,t,x,y\n0,0,0,0\n\n1,1,abc,0\n", "line 4: could not convert string to float: 'abc'"),
+        ("i,t,x,y\n0,0,0,0\n\n1.0,1,0,0\n",
+         "line 4: invalid literal for int() with base 10: '1.0'"),
+        ("i,t,x,y\n0,0,0,0\n\n2,1,0,0\n", "line 4: expected index 1, got 2"),
+        ("i,t,x,y\n0,0,0,0\n", "need at least two position rows"),
+        ("i,t,x,y\n\n", "need at least two position rows"),
+        ("i,t,x,y\n0,0.5,0,0\n1,1,0,0\n", "time grid must start at 0, got 0.5"),
+        ("i,t,x,y\n0,0,0,0\n1,-1,0,0\n", "non-increasing time grid: delta = -1.0"),
+        ("i,t,x,y\n0,0,0,0\n1,1,0,0\n2,2.5,0,0\n",
+         "time column is non-finite or not an equidistant grid"),
+        ("i,t,x,y\n0,0,0,0\n1,1,0,0\n2,nan,0,0\n",
+         "time column is non-finite or not an equidistant grid"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParameterError) as exc:
+            read_positions_csv(io.StringIO(text))
+        assert str(exc.value) == message
+
 
 class TestNdjson:
     def test_sample_round_trip(self):

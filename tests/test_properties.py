@@ -33,8 +33,8 @@ from pflight import (
     vertex_positions,
 )
 from pflight import montecarlo
-from pflight.io import (positions_csv_lines, read_positions_csv, read_sample_ndjson,
-                        sample_ndjson_line, summary_csv_lines)
+from pflight.io import (fmt_json, fmt_raw, positions_csv_lines, read_positions_csv,
+                        read_sample_ndjson, sample_ndjson_line, summary_csv_lines)
 
 ESTIMATORS = (pseudo_mle, modified_mle, indicator_estimate)
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -165,12 +165,20 @@ def test_one_position_formula(flight):
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+# The written text is pinned to one call of fmt_raw or fmt_json per numpy scalar, so a
+# writer that formats Python floats must give the same bytes, signed zeros, subnormals
+# and the largest magnitudes included.
 @PROPERTY
 @given(st.lists(st.tuples(FINITE, FINITE), min_size=2, max_size=40), st.floats(1e-3, 1e3))
+@example([(-0.0, 5e-324), (1.7976931348623157e308, -0.0), (-5e-324, -1.7976931348623157e308)],
+         0.1)
 def test_csv_round_trip_is_exact(rows, delta):
     positions = np.array(rows, dtype=np.float64)
     times = np.arange(len(rows)) * delta
     text = "\n".join(positions_csv_lines(times, positions)) + "\n"
+    per_scalar = [f"{i},{fmt_raw(t)},{fmt_raw(x)},{fmt_raw(y)}"
+                  for i, (t, (x, y)) in enumerate(zip(times, positions))]
+    assert text == "\n".join(["i,t,x,y", *per_scalar]) + "\n"
     back, back_delta = read_positions_csv(io.StringIO(text))
     assert back.tobytes() == positions.tobytes()
     assert back_delta == delta
@@ -182,12 +190,15 @@ BOUNDED = st.floats(-1e150, 1e150)
 
 @PROPERTY
 @given(st.lists(st.tuples(BOUNDED, BOUNDED), min_size=2, max_size=40), st.floats(1e-3, 1e3))
+@example([(-0.0, 5e-324), (1e150, -0.0), (-5e-324, -1e150)], 0.1)
 def test_ndjson_round_trip_is_exact(rows, delta):
     positions = np.array(rows, dtype=np.float64)
     step = float(np.max(np.hypot(*np.diff(positions, axis=0).T)))
     speed = 2.0 * step / delta + 1.0
     params = FlightParams(rate=1.0, speed=speed, origin=tuple(positions[0]))
     line = sample_ndjson_line(DiscreteSample(params, delta, positions))
+    per_scalar = ",".join(f"[{fmt_json(x)},{fmt_json(y)}]" for x, y in positions)
+    assert line.endswith(f'"n":{len(rows) - 1},"positions":[{per_scalar}]}}')
     back, back_delta = read_sample_ndjson(io.StringIO(line + "\n"), speed=speed)
     assert back.tobytes() == positions.tobytes()
     assert back_delta == delta
