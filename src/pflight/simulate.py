@@ -150,9 +150,23 @@ class DiscreteSample:
         return int(self.positions.shape[0] - 1)
 
 
+# The largest expected event count rate * horizon a flight may have. 1e9 events hold 8 GB of
+# event times; the longest records pflight is run on expect 40,000.
+_MAX_EXPECTED_EVENTS = 1e9
+
+
+def _check_event_count(rate: float, horizon: float) -> float:
+    """``rate * horizon``, checked against ``_MAX_EXPECTED_EVENTS`` before anything is drawn."""
+    mean_count = rate * horizon
+    if not mean_count <= _MAX_EXPECTED_EVENTS:
+        raise ParameterError(f"lambda*T = {mean_count:.6g} expected events exceeds the limit "
+                             f"of {_MAX_EXPECTED_EVENTS:.0e}")
+    return mean_count
+
+
 def _draw(rng: np.random.Generator, rate: float, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """The event times and headings of one flight, in the order ``simulate_trajectory`` draws."""
-    mean_count = rate * horizon
+    mean_count = _check_event_count(rate, horizon)
     chunk = max(16, int(mean_count + 6.0 * math.sqrt(mean_count) + 16.0))
     gaps = rng.standard_exponential(chunk, method="inv") / rate
     times = np.add.accumulate(gaps)
@@ -169,7 +183,8 @@ def simulate_trajectory(params: FlightParams, horizon: float,
 
     Event times come from exponential interarrivals generated by inversion
     (-log(U) / rate) and truncated at the horizon; headings are 2*pi*U with
-    U in (0, 1]. The draw is fully determined by ``seed``.
+    U in (0, 1]. The draw is fully determined by ``seed``. An expected event
+    count rate * horizon above 1e9 raises ``ParameterError``.
     """
     if isinstance(seed, (int, np.integer)):
         seed = SeedSpec(seed)
@@ -192,25 +207,42 @@ def _grid(horizon: float, n: int) -> np.ndarray:
     return np.linspace(0.0, horizon, n + 1)
 
 
-def _positions(params: FlightParams, horizon: float, flights: list[tuple[np.ndarray, np.ndarray]],
-               times: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Fill ``pos`` (rows, m, 2) with positions at ``times`` (rows, m), which it overwrites.
+def _grid_counts(grid: np.ndarray, event_rows: list[np.ndarray]) -> np.ndarray:
+    """Events per grid cell: (rows, n+1), [r, i] counting event_rows[r] in (grid[i-1], grid[i]].
 
-    Row r follows ``flights[r]`` = (event_times, directions). With k the segment holding a
-    time and rem the time since it started, a position is o + c * (cum[k] + rem * trig[k]),
-    cum being the prefix sum of unit displacements. Rows are padded with knots at the
-    horizon and headings of 0: padded segments have length 0, so no row's prefix sums
-    change, and k never reaches them.
+    ``grid`` is ``_grid(horizon, n)`` and every event lies in (0, horizon). An event e's cell is
+    the first j with grid[j] >= e. With grid[j] = j * (horizon/n) rounded (grid[n] = horizon)
+    and n below 2**51, rint(e / (horizon/n)) is that j or j - 1, so one comparison with
+    grid[j] makes it exact, also for an event on a grid time or one ulp from one. Column 0
+    counts nothing; the cumulative sum along a row is each grid time's segment index.
+    """
+    rows, n = len(event_rows), grid.size - 1
+    events = np.concatenate(event_rows)
+    q = np.divide(events, grid[-1] / n)
+    j = np.rint(q, out=q).astype(np.intp)
+    j += grid.take(j) < events
+    j += np.repeat(np.arange(0, rows * (n + 1), n + 1), [e.size for e in event_rows])
+    return np.bincount(j, minlength=rows * (n + 1)).reshape(rows, n + 1)
+
+
+def _positions(params: FlightParams, horizon: float, flights: list[tuple[np.ndarray, np.ndarray]],
+               times: np.ndarray, k: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Fill ``pos`` (rows, m, 2) with positions at ``times``, (m,) or (rows, m).
+
+    Row r follows ``flights[r]`` = (event_times, directions). ``k`` (rows, m), which it
+    overwrites, gives the number of the row's events at or before each time: the segment
+    holding it. With rem the time since the segment started, a position is
+    o + c * (cum[k] + rem * trig[k]), cum being the prefix sum of unit displacements. Rows
+    are padded with knots at the horizon and headings of 0: padded segments have length 0,
+    so no row's prefix sums change, and k never reaches them.
     """
     rows, width = len(flights), 2 + max(events.size for events, _ in flights)
     knots = np.full((rows, width), horizon)
     knots[:, 0] = 0.0
     headings = np.zeros((rows, width))
-    k = np.empty(times.shape, dtype=np.intp)
     for row, (events, directions) in enumerate(flights):
         knots[row, 1:1 + events.size] = events
         headings[row, :directions.size] = directions
-        k[row] = events.searchsorted(times[row], side="right")
     k += np.arange(0, rows * width, width)[:, None]  # flat indices, for .take
     # Per-segment arrays first, each freed once used, then per-time ones in place.
     seg_dt = knots[:, 1:] - knots[:, :-1]
@@ -221,7 +253,8 @@ def _positions(params: FlightParams, horizon: float, flights: list[tuple[np.ndar
         cums.append(np.zeros((rows, width)))
         np.add.accumulate(seg_dt * trig[:, :-1], axis=1, out=cums[-1][:, 1:])
     del seg_dt
-    rem = np.subtract(times, knots.take(k), out=times)
+    rem = knots.take(k)
+    np.subtract(times, rem, out=rem)
     del knots
     for col, (o, trig, cum) in enumerate(zip(params.origin, trigs, cums)):
         v = pos[..., col]
@@ -234,19 +267,25 @@ def _positions(params: FlightParams, horizon: float, flights: list[tuple[np.ndar
 
 
 def _trajectory_positions(traj: Trajectory, times: np.ndarray) -> np.ndarray:
-    """Positions (times.size, 2) of one trajectory at 1-d ``times``, which it overwrites."""
+    """Positions (times.size, 2) of one trajectory at 1-d ``times`` in [0, horizon], any order."""
+    k = traj.event_times.searchsorted(times, side="right")
     return _positions(traj.params, traj.horizon, [(traj.event_times, traj.directions)],
-                      times[None], np.empty((1, times.size, 2)))[0]
+                      times, k[None], np.empty((1, times.size, 2)))[0]
 
 
 def sample_at_grid(traj: Trajectory, n: int) -> DiscreteSample:
     """Observe the trajectory at times i * horizon / n for i = 0..n.
 
-    One vectorized pass over the grid; equal to ``position_at`` at every
-    grid point, bit for bit.
+    One vectorized pass over the grid: each grid time's segment is the running count of
+    events per grid cell (``_grid_counts``), found by arithmetic on the equidistant grid
+    rather than by a search. Equal to ``position_at`` at every grid point, bit for bit.
     """
     n = require_int("n", n)
-    pos = _trajectory_positions(traj, _grid(traj.horizon, n))
+    grid = _grid(traj.horizon, n)
+    k = _grid_counts(grid, [traj.event_times])
+    np.cumsum(k, axis=1, out=k)
+    pos = _positions(traj.params, traj.horizon, [(traj.event_times, traj.directions)],
+                     grid, k, np.empty((1, n + 1, 2)))[0]
     return DiscreteSample(params=traj.params, delta=traj.horizon / n, positions=pos)
 
 
@@ -257,12 +296,10 @@ def vertex_positions(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     and for serializing a trajectory as position rows.
     """
     knots = traj.knots()
-    return knots, _trajectory_positions(traj, knots.copy())
+    return knots, _trajectory_positions(traj, knots)
 
 
 def ground_truth_counts(traj: Trajectory, n: int) -> np.ndarray:
     """Number of direction changes inside each grid cell ((i-1)*delta, i*delta]."""
     n = require_int("n", n)
-    grid = _grid(traj.horizon, n)
-    idx = np.searchsorted(grid, traj.event_times, side="left")
-    return np.bincount(idx, minlength=n + 1)[1:]
+    return _grid_counts(_grid(traj.horizon, n), [traj.event_times])[0, 1:]

@@ -376,6 +376,18 @@ class TestMonteCarloCommand:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "ParameterError"
 
+    def test_huge_expected_event_count_exits_2(self, capsys, tmp_path, monkeypatch):
+        # lambda*T = 7e16 for the largest lambda: rejected with the config, before any
+        # worker starts or any array is asked for.
+        monkeypatch.setenv("PFL_THREADS", "2")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(self.CONFIG, lambda_grid=[0.001, 0.7], T=1e17)))
+        code, out, err = run_cli(capsys, ["mc", "--config", str(path)])
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["error"] == "ParameterError"
+        assert "lambda*T = 7e+16" in record["message"]
+
 
 class TestErrorHandling:
     def test_bad_parameter_exits_2(self, capsys):
@@ -453,6 +465,17 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, ["estimate", "--in", str(path), "--c", "1e160"])
         assert code == 2
         assert "below 1e154" in json.loads(err)["message"]
+
+    def test_huge_expected_event_count_exits_2(self, capsys):
+        # Both emits draw the flight; lambda*T = 7e16 fails before the draw asks for memory.
+        args = ["simulate", "--lambda", "0.7", "--c", "1.0", "--T", "1e17", "--n", "20",
+                "--seed", "1"]
+        for emit in ("sample", "trajectory"):
+            code, out, err = run_cli(capsys, args + ["--emit", emit])
+            assert (code, out) == (2, "")
+            record = json.loads(err)
+            assert record["error"] == "ParameterError"
+            assert "lambda*T = 7e+16" in record["message"]
 
     def test_degenerate_estimate_exits_1(self, capsys, tmp_path):
         # A walker reported at the same point every time: every stride is

@@ -35,6 +35,7 @@ from pflight import (
 from pflight import montecarlo
 from pflight.io import (fmt_json, fmt_raw, positions_csv_lines, read_positions_csv,
                         read_sample_ndjson, sample_ndjson_line, summary_csv_lines)
+from pflight.simulate import Trajectory, _grid_counts, ground_truth_counts
 
 ESTIMATORS = (pseudo_mle, modified_mle, indicator_estimate)
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -160,6 +161,56 @@ def test_one_position_formula(flight):
     knots, vertices = vertex_positions(traj)
     at_knots = np.array([position_at(traj, t) for t in knots])
     assert at_knots.tobytes() == vertices.tobytes()
+
+
+# Horizons whose delta = T/n is mostly not exactly representable, and arbitrary ones.
+HORIZONS = st.sampled_from((500.0 / 3.0, 1e-3, 1e6, 20_000.0)) | st.floats(1e-3, 1e6)
+
+
+@st.composite
+def event_blocks(draw, max_rows=5):
+    """(horizon, n, event rows): sorted events in (0, horizon), many on a grid time or one
+    ulp either side of one, some rows empty, rows of different lengths."""
+    horizon, n = draw(HORIZONS), draw(st.integers(1, 300))
+    grid = np.linspace(0.0, horizon, n + 1)
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        near = draw(st.lists(st.tuples(st.integers(0, n), st.sampled_from((-1, 0, 1))),
+                             max_size=40))
+        inside = draw(st.lists(st.floats(0.0, 1.0), max_size=10))
+        times = [np.nextafter(grid[i], side * math.inf) if side else grid[i] for i, side in near]
+        times += [u * horizon for u in inside]
+        rows.append(np.array(sorted({float(t) for t in times if 0.0 < t < horizon})))
+    return horizon, n, rows
+
+
+def _on_grid(horizon, n, side):
+    """One row with an event on every inner grid time, or one ulp above (side 1) or below (-1)."""
+    grid = np.linspace(0.0, horizon, n + 1)[1:-1]
+    return horizon, n, [np.nextafter(grid, side * math.inf) if side else grid]
+
+
+@PROPERTY
+@given(event_blocks())
+@example((500.0 / 3.0, 1, [np.array([]), np.array([np.nextafter(500.0 / 3.0, 0.0)])]))
+@example((1e-3, 7, [np.array([]), np.array([5e-324, 1e-3 / 7.0]), np.array([])]))
+@example(_on_grid(500.0 / 3.0, 300, 0))
+@example(_on_grid(1e6, 299, 1))
+@example(_on_grid(1e-3, 300, -1))
+def test_grid_index_equals_searchsorted(block):
+    # The grid paths find each grid time's segment by arithmetic on the equidistant grid;
+    # searchsorted on the sorted times is the reference, for the running count k and for
+    # ground_truth_counts alike.
+    horizon, n, rows = block
+    grid = np.linspace(0.0, horizon, n + 1)
+    k = _grid_counts(grid, rows)
+    np.cumsum(k, axis=1, out=k)
+    assert k.tolist() == [events.searchsorted(grid, side="right").tolist() for events in rows]
+    params = FlightParams(rate=1.0, speed=1.0)
+    for events in rows:
+        traj = Trajectory(params, horizon, events, np.full(events.size + 1, 1.0))
+        want = np.bincount(np.searchsorted(grid, events, side="left"), minlength=n + 1)[1:]
+        assert ground_truth_counts(traj, n).tolist() == want.tolist()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
