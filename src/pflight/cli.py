@@ -2,9 +2,10 @@
 
 Subcommands: simulate, estimate, density, moments, fisher, mc. Tables go
 to --out (default stdout). Arithmetic failures (a NumericalError, an overflow,
-a division by zero) exit with code 1, invalid input and I/O problems with code 2;
-each prints a one-line JSON error record to stderr. The PFL_THREADS environment
-variable (0 = auto) sets the number of Monte Carlo worker processes.
+a division by zero) exit with code 1, invalid input, I/O problems and memory
+exhaustion with code 2; each prints a one-line JSON error record to stderr. The
+PFL_THREADS environment variable (0 = auto) sets the number of Monte Carlo
+workers, capped at the tasks and CPUs there are.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import ParameterError, require_int, require_nonnegative
 from .estimators import DEFAULT_EPSILON, ESTIMATORS, IncrementSummary
 from .montecarlo import config_from_json, run_experiment
 from .seeding import SeedSpec
-from .simulate import FlightParams, sample_at_grid, simulate_trajectory
+from .simulate import FlightParams, _check_n, sample_at_grid, simulate_trajectory
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,9 +112,8 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = FlightParams(rate=args.rate, speed=args.speed, origin=(args.x0, args.y0))
-    seed = SeedSpec(args.seed, args.stream)
-    traj = simulate_trajectory(params, args.horizon, seed)
-    require_int("n", args.n)  # for both emits, though a trajectory does not use n
+    _check_n(args.n)  # for both emits, though a trajectory does not use n
+    traj = simulate_trajectory(params, args.horizon, SeedSpec(args.seed, args.stream))
     if args.emit == "trajectory":
         record, csv_lines, ndjson_line = traj, pfio.trajectory_csv_lines, pfio.trajectory_ndjson_line
     else:
@@ -189,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ArithmeticError, ValueError, OSError) as exc:
+    except (ArithmeticError, ValueError, OSError, MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc), "command": args.command}
         print(json.dumps(record), file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2

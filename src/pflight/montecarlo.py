@@ -11,15 +11,14 @@ Results are assembled into arrays ordered by replication index before any
 aggregation, so the output is byte-identical whatever the worker count or
 scheduling order. Workers are separate processes; the ``PFL_THREADS``
 environment variable (0 = auto) sets their number when the caller does not
-pass an explicit count.
+pass an explicit count, and the pool caps it at the tasks and CPUs there are.
 
 A cell's replications run in blocks of about ``_BLOCK_STRIDES`` strides,
 evaluated as 2-d arrays; ``run_replication``, the reference path through
-the public functions, gives every value the same bits. A block finds the
-segment holding each grid time without a search: every event's grid cell
-comes from arithmetic on the equidistant grid, one ``bincount`` counts the
-cells of all rows, and a running sum along each row gives the segment
-index (``simulate._grid_counts``), in time linear in strides plus events.
+the public functions, gives every value the same bits. A block observes its
+flights through ``simulate._grid_positions``, which ``sample_at_grid`` calls
+with one row: each grid time's segment comes from arithmetic on the
+equidistant grid, not a search, in time linear in strides plus events.
 
 Failed replications (an estimator raising ``NumericalError``) and
 saturated indicator estimates are excluded from the moments and counted in
@@ -49,9 +48,8 @@ from .estimators import (
     summarize_increments,
 )
 from .seeding import SeedSpec, replication_stream
-from .simulate import (FlightParams, _check_event_count, _check_steps, _draw, _grid,
-                       _grid_counts, _positions, _stride_slack, sample_at_grid,
-                       simulate_trajectory)
+from .simulate import (FlightParams, _check_event_count, _check_n, _check_steps, _draw, _grid,
+                       _grid_positions, _stride_slack, sample_at_grid, simulate_trajectory)
 
 __all__ = [
     "ExperimentConfig",
@@ -82,7 +80,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         lams = tuple(require_positive("lambda_grid value", v) for v in self.lambda_grid)
-        ns = tuple(require_int("n_grid value", v) for v in self.n_grid)
+        ns = tuple(_check_n(v, "n_grid value") for v in self.n_grid)
         if not lams or not ns:
             raise ParameterError("lambda_grid and n_grid must not be empty")
         names = tuple(estimator_name(e) for e in self.estimators)
@@ -174,25 +172,16 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
     delta = horizon / n
     out = {name: np.empty(stop - start) for name in config.estimators}
     size = max(1, min(stop - start, _BLOCK_STRIDES // n))
-    # One positions buffer for all blocks: with one per block, the allocator gave the memory
-    # back to the OS after each, and n = 200,000 took several times the page faults.
-    positions = np.empty((size, n + 1, 2))
+    # Built once for all blocks: a positions buffer per block doubled the faults at n = 200,000.
+    grid, positions = _grid(horizon, n), np.empty((size, n + 1, 2))
     for first in range(start, stop, size):
         reps = range(first, min(first + size, stop))
         flights = [_draw(SeedSpec(config.master_seed, replication_stream(
             lambda_index, n_index, rep)).generator(), params.rate, horizon) for rep in reps]
-        grid = _grid(horizon, n)
-        k = _grid_counts(grid, [events for events, _ in flights])
-        np.cumsum(k, axis=1, out=k)
-        slack = _stride_slack(_positions(params, horizon, flights, grid, k, positions[:len(reps)]),
-                              speed, delta)
-        # Freed here, while k lives until the next block's replaces it. At n = 200,000, one grid
-        # for all blocks took up to twice the minor faults per replication, and freeing k here
-        # too eight times as many: glibc then trims the heap top and faults the pages back in.
-        del grid
+        slack = _stride_slack(_grid_positions(params, horizon, flights, grid,
+                                              positions[:len(reps)]), speed, delta)
         _check_steps(slack, speed, delta)
         _, n_plus, s = _classify(slack, delta, speed, config.epsilon)
-        del slack
         for name in config.estimators:
             formula = ESTIMATORS[name][2]
             out[name][first - start:reps.stop - start] = [
@@ -223,7 +212,7 @@ def summarize(values: np.ndarray, rate: float, n: int, estimator_kind: str,
 
 
 def resolve_worker_count(workers: int | None = None) -> int:
-    """Explicit count, else the count PFL_THREADS sets, else one per CPU (0 = auto)."""
+    """Explicit count, else PFL_THREADS's, else one per CPU (0 = auto); pools cap it at the CPUs."""
     if workers is None:
         raw = os.environ.get("PFL_THREADS", "").strip()
         try:
@@ -253,13 +242,13 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     tasks = [(li, ni, a, min(a + chunk, reps))
              for li, ni in cells for a in range(0, reps, chunk)]
     run = functools.partial(_run_range, config)
-    if workers > 1:
-        # Imported here, so that `import pflight` and one-worker runs do not
-        # load multiprocessing and what it pulls in (socket, logging).
+    # A pool forks all its processes at the first submit: no more than there are tasks or CPUs.
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    executor = contextlib.nullcontext()
+    if processes > 1:
+        # Imported here: `import pflight` and one-process runs load no multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-        executor = ProcessPoolExecutor(max_workers=workers)
-    else:
-        executor = contextlib.nullcontext()
+        executor = ProcessPoolExecutor(max_workers=processes)
     with executor as pool:
         mapper = map if pool is None else pool.map
         for (li, ni, start, stop), arrs in zip(tasks, mapper(run, *zip(*tasks))):

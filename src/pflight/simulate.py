@@ -150,18 +150,25 @@ class DiscreteSample:
         return int(self.positions.shape[0] - 1)
 
 
-# The largest expected event count rate * horizon a flight may have. 1e9 events hold 8 GB of
-# event times; the longest records pflight is run on expect 40,000.
-_MAX_EXPECTED_EVENTS = 1e9
+# The largest record, in expected events rate * horizon and in steps n: 1e9 times fill 8 GB.
+_MAX_RECORD = 10**9
 
 
 def _check_event_count(rate: float, horizon: float) -> float:
-    """``rate * horizon``, checked against ``_MAX_EXPECTED_EVENTS`` before anything is drawn."""
+    """``rate * horizon``, checked against ``_MAX_RECORD`` before anything is drawn."""
     mean_count = rate * horizon
-    if not mean_count <= _MAX_EXPECTED_EVENTS:
+    if not mean_count <= _MAX_RECORD:
         raise ParameterError(f"lambda*T = {mean_count:.6g} expected events exceeds the limit "
-                             f"of {_MAX_EXPECTED_EVENTS:.0e}")
+                             f"of {_MAX_RECORD:.0e}")
     return mean_count
+
+
+def _check_n(n: int, name: str = "n") -> int:
+    """The step count ``n``, checked to be an integer in [1, _MAX_RECORD] before any grid."""
+    n = require_int(name, n)
+    if n > _MAX_RECORD:
+        raise ParameterError(f"{name} = {n} exceeds the limit of {_MAX_RECORD:.0e}")
+    return n
 
 
 def _draw(rng: np.random.Generator, rate: float, horizon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -212,9 +219,9 @@ def _grid_counts(grid: np.ndarray, event_rows: list[np.ndarray]) -> np.ndarray:
 
     ``grid`` is ``_grid(horizon, n)`` and every event lies in (0, horizon). An event e's cell is
     the first j with grid[j] >= e. With grid[j] = j * (horizon/n) rounded (grid[n] = horizon)
-    and n below 2**51, rint(e / (horizon/n)) is that j or j - 1, so one comparison with
-    grid[j] makes it exact, also for an event on a grid time or one ulp from one. Column 0
-    counts nothing; the cumulative sum along a row is each grid time's segment index.
+    and n below 2**51 (``_check_n``), rint(e / (horizon/n)) is that j or j - 1, so one
+    comparison with grid[j] makes it exact, also for an event on a grid time or one ulp from
+    one. Column 0 counts nothing; the cumulative sum along a row is each grid time's segment.
     """
     rows, n = len(event_rows), grid.size - 1
     events = np.concatenate(event_rows)
@@ -266,6 +273,14 @@ def _positions(params: FlightParams, horizon: float, flights: list[tuple[np.ndar
     return pos
 
 
+def _grid_positions(params: FlightParams, horizon: float,
+                    flights: list[tuple[np.ndarray, np.ndarray]], grid: np.ndarray,
+                    pos: np.ndarray) -> np.ndarray:
+    """``_positions`` on ``grid`` = ``_grid(horizon, n)``, with segments from ``_grid_counts``."""
+    k = _grid_counts(grid, [events for events, _ in flights])
+    return _positions(params, horizon, flights, grid, np.cumsum(k, axis=1, out=k), pos)
+
+
 def _trajectory_positions(traj: Trajectory, times: np.ndarray) -> np.ndarray:
     """Positions (times.size, 2) of one trajectory at 1-d ``times`` in [0, horizon], any order."""
     k = traj.event_times.searchsorted(times, side="right")
@@ -276,16 +291,12 @@ def _trajectory_positions(traj: Trajectory, times: np.ndarray) -> np.ndarray:
 def sample_at_grid(traj: Trajectory, n: int) -> DiscreteSample:
     """Observe the trajectory at times i * horizon / n for i = 0..n.
 
-    One vectorized pass over the grid: each grid time's segment is the running count of
-    events per grid cell (``_grid_counts``), found by arithmetic on the equidistant grid
-    rather than by a search. Equal to ``position_at`` at every grid point, bit for bit.
+    One vectorized pass over the grid, with no search (``_grid_positions``); equal to
+    ``position_at`` at every grid point, bit for bit. n is at most 1e9.
     """
-    n = require_int("n", n)
-    grid = _grid(traj.horizon, n)
-    k = _grid_counts(grid, [traj.event_times])
-    np.cumsum(k, axis=1, out=k)
-    pos = _positions(traj.params, traj.horizon, [(traj.event_times, traj.directions)],
-                     grid, k, np.empty((1, n + 1, 2)))[0]
+    n = _check_n(n)
+    pos = _grid_positions(traj.params, traj.horizon, [(traj.event_times, traj.directions)],
+                          _grid(traj.horizon, n), np.empty((1, n + 1, 2)))[0]
     return DiscreteSample(params=traj.params, delta=traj.horizon / n, positions=pos)
 
 
@@ -301,5 +312,4 @@ def vertex_positions(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
 
 def ground_truth_counts(traj: Trajectory, n: int) -> np.ndarray:
     """Number of direction changes inside each grid cell ((i-1)*delta, i*delta]."""
-    n = require_int("n", n)
-    return _grid_counts(_grid(traj.horizon, n), [traj.event_times])[0, 1:]
+    return _grid_counts(_grid(traj.horizon, _check_n(n)), [traj.event_times])[0, 1:]

@@ -388,6 +388,17 @@ class TestMonteCarloCommand:
         assert record["error"] == "ParameterError"
         assert "lambda*T = 7e+16" in record["message"]
 
+    def test_huge_n_exits_2(self, capsys, tmp_path, monkeypatch):
+        # n = 1e12 would ask for a 7.28 TiB positions buffer: rejected with the config.
+        monkeypatch.setenv("PFL_THREADS", "2")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(self.CONFIG, n_grid=[20, 10**12])))
+        code, out, err = run_cli(capsys, ["mc", "--config", str(path)])
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["error"] == "ParameterError"
+        assert record["message"] == "n_grid value = 1000000000000 exceeds the limit of 1e+09"
+
 
 class TestErrorHandling:
     def test_bad_parameter_exits_2(self, capsys):
@@ -476,6 +487,29 @@ class TestErrorHandling:
             record = json.loads(err)
             assert record["error"] == "ParameterError"
             assert "lambda*T = 7e+16" in record["message"]
+
+    def test_huge_n_exits_2(self, capsys):
+        # n = 1e12 would ask for a 7.28 TiB grid; both emits reject it before the draw.
+        args = ["simulate", "--lambda", "0.7", "--c", "1.0", "--T", "10", "--n", str(10**12),
+                "--seed", "1"]
+        for emit in ("sample", "trajectory"):
+            code, out, err = run_cli(capsys, args + ["--emit", emit])
+            assert (code, out) == (2, "")
+            record = json.loads(err)
+            assert record["error"] == "ParameterError"
+            assert record["message"] == "n = 1000000000000 exceeds the limit of 1e+09"
+
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        # An allocation the record limit allows but the machine cannot serve.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr("pflight.cli.sample_at_grid", refuse)
+        code, out, err = run_cli(capsys, SIM_ARGS)
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record == {"error": "MemoryError", "message": "Unable to allocate 7.45 GiB",
+                          "command": "simulate"}
 
     def test_degenerate_estimate_exits_1(self, capsys, tmp_path):
         # A walker reported at the same point every time: every stride is

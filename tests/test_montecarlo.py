@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo experiment driver."""
 
+import concurrent.futures
 import math
+import os
 import sys
 
 import numpy as np
@@ -212,6 +214,37 @@ class TestRunExperiment:
         rmse = {s.n: s.rmse for s in out.summaries}
         assert rmse[400] < rmse[100] < rmse[25]
 
+    def test_pool_is_capped_at_tasks_and_cpus(self, monkeypatch):
+        # Under the fork start method a pool starts all its processes at the first submit, so
+        # PFL_THREADS=64 on one cell of 4 replications must not fork 64. A fake pool records
+        # its width and maps in-process; the partition, and so every value, follows the 64.
+        widths = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setenv("PFL_THREADS", "64")
+        cfg = small_config(lambda_grid=(0.5,), n_grid=(50,), reps=4)
+        want = run_experiment(cfg, workers=1)
+        for cpus, pool_widths in ((8, [4]), (3, [3]), (1, [])):
+            widths.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            got = run_experiment(cfg)
+            assert widths == pool_widths, cpus
+            assert got.summaries == want.summaries
+            for key, vals in want.values.items():
+                assert vals.tobytes() == got.values[key].tobytes()
+
     def test_outcome_carries_config(self):
         cfg = small_config()
         out = run_experiment(cfg, workers=1)
@@ -221,11 +254,11 @@ class TestRunExperiment:
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="pins glibc's heap behaviour through Linux fault counts")
 def test_long_record_kernel_keeps_its_heap():
-    # _run_range keeps one positions buffer for all blocks and _positions frees its
-    # per-segment arrays as it goes. A variant with a positions array per block, a shared
-    # 1-d grid and no dels gives the same values, but glibc then trims the heap top after
-    # each replication and faults the pages back in: 1,500-3,000 minor faults per
-    # replication at this shape (Linux, glibc), against 320-380.
+    # _run_range builds one grid and one positions buffer for all blocks, and _positions
+    # frees its per-segment arrays as it goes. Variants give the same values, but glibc then
+    # trims the heap top after each replication and faults the pages back in (Linux, glibc,
+    # master seeds 1-3 at this shape): without those dels 920 minor faults per replication,
+    # with a positions array per block 780-950, against 420-460.
     import resource
 
     cfg = ExperimentConfig(lambda_grid=(2.0,), n_grid=(200_000,), horizon=20_000.0,

@@ -274,22 +274,32 @@ SATURATING = ExperimentConfig(lambda_grid=(2.0,), n_grid=(200,), horizon=500.0, 
                               master_seed=3)
 
 
+@st.composite
+def block_ranges(draw):
+    """A cell, a block size B and a range [start, stop) of its replications, as a pool task."""
+    cfg = draw(cells())
+    start = draw(st.integers(0, cfg.reps - 1))
+    return cfg, draw(st.integers(1, cfg.reps)), start, draw(st.integers(start + 1, cfg.reps))
+
+
 @PROPERTY
-@given(cells().flatmap(lambda cfg: st.tuples(st.just(cfg), st.integers(1, cfg.reps))))
-@example((SATURATING, 5))
+@given(block_ranges())
+@example((SATURATING, 5, 0, 12))
+@example((SATURATING, 5, 3, 11))
 def test_block_kernel_equals_run_replication(cell):
-    # B replications per block, for any B from 1 to reps: every value keeps
-    # the reference path's bits, NaN for failed and inf for saturated.
-    cfg, block = cell
+    # B replications per block, for any B from 1 to reps, over any range of a cell: every
+    # value keeps the reference path's bits, NaN for failed and inf for saturated, also in
+    # blocks that reuse the call's buffers after a mid-cell start.
+    cfg, block, start, stop = cell
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_BLOCK_STRIDES", block * cfg.n_grid[0])
-        got = montecarlo._run_range(cfg, 0, 0, 0, cfg.reps)
-    for rep in range(cfg.reps):
+        got = montecarlo._run_range(cfg, 0, 0, start, stop)
+    for rep in range(start, stop):
         estimates = run_replication(cfg, 0, 0, rep).estimates
         for name in cfg.estimators:
             est = estimates[name]
             want = np.float64(math.nan if est is None else est.value)
-            assert got[name][rep].tobytes() == want.tobytes(), (name, rep)
+            assert got[name][rep - start].tobytes() == want.tobytes(), (name, rep)
 
 
 def _outcome(cfg, workers):

@@ -206,6 +206,15 @@ class TestGroundTruthCounts:
         counts = ground_truth_counts(traj, 4)
         assert counts.tolist() == [0, 1, 0, 0]
 
+    def test_record_size_limit(self):
+        # One limit for both grid paths: n above 1e9 is rejected before any grid exists.
+        traj = simulate_trajectory(FlightParams(rate=1.0, speed=1.0), 5.0, SeedSpec(1))
+        for grid_path in (ground_truth_counts, sample_at_grid):
+            for n, message in ((0, "n must be an integer >= 1"),
+                               (10**9 + 1, "n = 1000000001 exceeds the limit of 1e\\+09")):
+                with pytest.raises(ParameterError, match=message):
+                    grid_path(traj, n)
+
 
 class TestDiscreteSample:
     def test_validation(self):
