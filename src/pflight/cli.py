@@ -5,7 +5,7 @@ to --out (default stdout). Arithmetic failures (a NumericalError, an overflow,
 a division by zero) exit with code 1, invalid input, I/O problems and memory
 exhaustion with code 2; each prints a one-line JSON error record to stderr. The
 PFL_THREADS environment variable (0 = auto) sets the number of Monte Carlo
-workers, capped at the CPUs, each taking one share of every cell.
+workers, capped at the usable CPUs, each taking one share of every cell.
 """
 
 from __future__ import annotations

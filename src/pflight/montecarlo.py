@@ -9,9 +9,11 @@ Reproducibility contract: every replication draws from its own stream,
 derived from (master_seed, rate index, n index, replication index) alone.
 Results are assembled into arrays ordered by replication index before any
 aggregation, so the output is byte-identical whatever the worker count or
-scheduling order. Workers are separate processes, one per CPU at most, each
-taking one contiguous share of every cell; the ``PFL_THREADS`` environment
-variable (0 = auto) sets their number when the caller passes no count.
+scheduling order. Workers are separate processes, one per usable CPU at most,
+each taking one contiguous share of every cell; the ``PFL_THREADS``
+environment variable (0 = auto) sets their number when the caller passes no
+count. A share reseeds one generator per replication with states derived
+for a chunk of replications at once, bit-identical to ``SeedSpec.generator``.
 
 A cell's replications run in blocks of about ``_BLOCK_STRIDES`` strides,
 evaluated as 2-d arrays; ``run_replication``, the reference path through
@@ -47,7 +49,7 @@ from .estimators import (
     estimator_name,
     summarize_increments,
 )
-from .seeding import SeedSpec, replication_stream
+from .seeding import SeedSpec, _replication_generators, replication_stream
 from .simulate import (FlightParams, _check_event_count, _check_n, _check_steps, _draw, _grid,
                        _grid_positions, _stride_slack, sample_at_grid, simulate_trajectory)
 
@@ -174,10 +176,10 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
     size = max(1, min(stop - start, _BLOCK_STRIDES // n))
     # Built once for all blocks: a positions buffer per block doubled the faults at n = 200,000.
     grid, positions = _grid(horizon, n), np.empty((size, n + 1, 2))
+    rngs = _replication_generators(config.master_seed, lambda_index, n_index, start, stop)
     for first in range(start, stop, size):
         reps = range(first, min(first + size, stop))
-        flights = [_draw(SeedSpec(config.master_seed, replication_stream(
-            lambda_index, n_index, rep)).generator(), params.rate, horizon) for rep in reps]
+        flights = [_draw(next(rngs), params.rate, horizon) for _ in reps]
         slack = _stride_slack(_grid_positions(params, horizon, flights, grid,
                                               positions[:len(reps)]), speed, delta)
         _check_steps(slack, speed, delta)
@@ -212,14 +214,21 @@ def summarize(values: np.ndarray, rate: float, n: int, estimator_kind: str,
 
 
 def resolve_worker_count(workers: int | None = None) -> int:
-    """Explicit count, else PFL_THREADS's, else one per CPU (0 = auto); runs cap it at the CPUs."""
+    """Explicit count, else PFL_THREADS's, else one per usable CPU (0 = auto); runs cap it there."""
     if workers is None:
         raw = os.environ.get("PFL_THREADS", "").strip()
         try:
             workers = int(raw) if raw else 0
         except ValueError:
             raise ParameterError(f"PFL_THREADS must be an integer, got {raw!r}") from None
-    return require_int("worker count", workers, 0) or os.cpu_count() or 1
+    return require_int("worker count", workers, 0) or _usable_cpus()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> ExperimentOutcome:
@@ -229,7 +238,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     any worker count: replication values are placed into preallocated
     arrays by replication index and aggregated only after assembly.
     """
-    processes = min(resolve_worker_count(workers), os.cpu_count() or 1)
+    processes = min(resolve_worker_count(workers), _usable_cpus())
     reps = config.reps
     cells = [(li, ni) for li in range(len(config.lambda_grid))
              for ni in range(len(config.n_grid))]

@@ -6,7 +6,8 @@ normalize, the Fisher information closed form agrees with direct
 quadrature of the density, the moment quadrature agrees with simulation,
 the estimators satisfy their exact algebraic identities, the indicator
 estimator is asymptotically normal, the high-rate regime approaches the
-diffusive limit, and results are independent of the worker count.
+diffusive limit, and results are independent of the worker count and of
+how each cell is split between processes.
 
 Each test prints one line
 
@@ -26,6 +27,7 @@ so a change in either the theory or the table trips it.  The discrepancy
 is documented in the README; no band is widened.
 """
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -52,6 +54,7 @@ from pflight import (
     simulate_trajectory,
     summarize_increments,
 )
+from pflight import montecarlo
 from pflight.io import summary_csv_lines
 
 MASTER_SEED = 20250817
@@ -418,7 +421,7 @@ def test_criterion_7_diffusive_limit():
     assert sups[0] > sups[1] > sups[2]
 
 
-def test_criterion_8_worker_count_determinism():
+def test_criterion_8_worker_count_determinism(monkeypatch):
     cfg = ExperimentConfig(
         lambda_grid=(0.10, 0.25, 0.50, 0.75, 1.00, 1.50, 2.00),
         n_grid=(200, 300, 500, 1000),
@@ -427,7 +430,16 @@ def test_criterion_8_worker_count_determinism():
         master_seed=MASTER_SEED,
         estimators=("hat",),
     )
-    outcomes = {w: run_experiment(cfg, workers=w) for w in (1, 2, 8)}
+    cpus = montecarlo._usable_cpus()
+    shares = {1: 1, 2: min(2, cpus), 8: 8}
+    outcomes = {w: run_experiment(cfg, workers=w) for w in (1, 2)}
+    # Eight shares per cell on any host: run_experiment is told of 8 CPUs, and a pool no
+    # wider than the real ones runs the 224 shares.
+    real_pool = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: real_pool(max_workers=min(max_workers, cpus)))
+    outcomes[8] = run_experiment(cfg, workers=8)
     csvs = {
         w: ("\n".join(summary_csv_lines(o)) + "\n").encode()
         for w, o in outcomes.items()
@@ -444,8 +456,8 @@ def test_criterion_8_worker_count_determinism():
         "worker-count-determinism",
         ok,
         f"summary CSV ({len(csvs[1])} bytes, 28 cells x 10000 replications) "
-        f"identical across workers 1/2/8: {bytes_ok}; raw value arrays "
-        f"identical: {values_ok}",
+        f"identical across {shares[1]}/{shares[2]}/{shares[8]} shares per cell: {bytes_ok}; "
+        f"raw value arrays identical: {values_ok}",
     )
     assert bytes_ok
     assert values_ok

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pflight
+from pflight import montecarlo
 from pflight import (
     EmptyCellError,
     ExperimentConfig,
@@ -149,6 +150,19 @@ class TestWorkerCount:
         monkeypatch.setenv("PFL_THREADS", " ")
         assert resolve_worker_count() >= 1
 
+    def test_auto_counts_usable_cpus(self, monkeypatch):
+        # The affinity mask, not the machine: under `taskset -c 0` auto is one worker.
+        monkeypatch.delenv("PFL_THREADS", raising=False)
+        if hasattr(os, "sched_getaffinity"):
+            assert resolve_worker_count() == len(os.sched_getaffinity(0))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert resolve_worker_count() == 1
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_worker_count() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_worker_count() == 3
+
 
 class TestRunExperiment:
     def test_worker_count_does_not_change_results(self):
@@ -244,7 +258,7 @@ class TestRunExperiment:
         for cpus, pool_widths in ((8, [4]), (3, [3]), (1, [])):
             widths.clear()
             ranges.clear()
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
             got = run_experiment(cfg)
             assert widths == pool_widths, cpus
             # One contiguous share per process, covering the cell, sizes within one.

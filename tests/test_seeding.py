@@ -1,10 +1,15 @@
 """Tests for deterministic seed derivation."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pflight import (FlightParams, ParameterError, SeedSpec, replication_stream,
                      simulate_trajectory, splitmix64)
+from pflight.seeding import _CHUNK, _pcg64_states, _replication_generators
 
 
 class TestSplitmix64:
@@ -26,6 +31,11 @@ class TestSplitmix64:
     def test_distinct_over_many_inputs(self):
         outputs = {splitmix64(i) for i in range(10_000)}
         assert len(outputs) == 10_000
+
+    def test_uint64_arrays_match_python_ints(self):
+        values = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+        assert splitmix64(np.array(values, dtype=np.uint64)).tolist() == [
+            splitmix64(v) for v in values]
 
     def test_wraps_modulo_two_to_the_64(self):
         # The mix masks its input, so it is total on Python ints and
@@ -110,3 +120,54 @@ class TestReplicationStream:
             replication_stream(0, 0, 2**24)
         with pytest.raises(ParameterError):
             replication_stream(-1, 0, 0)
+
+
+def _reference(master_seed, lambda_index, n_index, rep):
+    return SeedSpec(master_seed, replication_stream(lambda_index, n_index, rep)).generator()
+
+
+class TestReplicationGenerators:
+    """The Monte Carlo kernel's chunked seeding against SeedSpec.generator()."""
+
+    def test_states_equal_pcg64(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds += np.random.default_rng(5).integers(0, 2**64, 3000, dtype=np.uint64).tolist()
+        got = list(_pcg64_states(np.array(seeds, dtype=np.uint64)))
+        assert len(got) == len(seeds)
+        for state, seed in zip(got, seeds):
+            assert state == np.random.PCG64(seed).state, seed
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**20 - 1), st.integers(0, 2**20 - 1),
+           st.integers(0, 2**24), st.integers(0, _CHUNK + 16))
+    @example(2**64 - 1, 2**20 - 1, 2**20 - 1, 2**24 - _CHUNK - 3, _CHUNK + 3)
+    @example(0, 0, 0, 0, 0)
+    def test_equal_to_seed_spec(self, master_seed, lambda_index, n_index, start, length):
+        stop = min(start + length, 2**24)
+        count = 0
+        gens = _replication_generators(master_seed, lambda_index, n_index, start, stop)
+        for rep, gen in zip(range(start, stop), gens):
+            ref = _reference(master_seed, lambda_index, n_index, rep)
+            assert gen.bit_generator.state == ref.bit_generator.state, rep
+            assert gen.standard_exponential(2, method="inv").tolist() == \
+                ref.standard_exponential(2, method="inv").tolist()
+            assert gen.random() == ref.random()
+            count += 1
+        assert count == stop - start and next(gens, None) is None
+
+    def test_extremes_raise_no_warning(self):
+        # numpy warns when a uint64 scalar overflows, not an array: splitmix64 and the hash
+        # wrap on arrays only.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = 2**24
+            for gen, rep in zip(_replication_generators(2**64 - 1, 2**20 - 1, 2**20 - 1,
+                                                        top - 2, top), (top - 2, top - 1)):
+                assert gen.random() == _reference(2**64 - 1, 2**20 - 1, 2**20 - 1, rep).random()
+
+    @pytest.mark.parametrize("args", [(-1, 0, 0, 0, 1), (0, 2**20, 0, 0, 1),
+                                      (0, 0, 2**20, 0, 1), (0, 0, 0, 0, 2**24 + 1),
+                                      (0, 0, 0, 5, 4), (2**64, 0, 0, 0, 1)])
+    def test_rejects_out_of_range(self, args):
+        with pytest.raises(ParameterError):
+            next(_replication_generators(*args))
