@@ -15,12 +15,16 @@ environment variable (0 = auto) sets their number when the caller passes no
 count. A share reseeds one generator per replication with states derived
 for a chunk of replications at once, bit-identical to ``SeedSpec.generator``.
 
-A cell's replications run in blocks of about ``_BLOCK_STRIDES`` strides,
-evaluated as 2-d arrays; ``run_replication``, the reference path through
-the public functions, gives every value the same bits. A block observes its
-flights through ``simulate._grid_positions``, which ``sample_at_grid`` calls
-with one row: each grid time's segment comes from arithmetic on the
-equidistant grid, not a search, in time linear in strides plus events.
+A cell's replications run in blocks of about ``_BLOCK_STRIDES`` columns,
+strides plus drawn events, evaluated as 2-d arrays; ``run_replication``, the
+reference path through the public functions, gives every value the same
+bits. Each replication fills one row of the block's exponentials and
+uniforms from its own stream, and every later step is one pass over the
+block: event times, knots, headings, the x and y planes of the positions
+and the stride slacks. A block observes its flights through
+``simulate._grid_positions``, which ``sample_at_grid`` calls with one row:
+each grid time's segment comes from arithmetic on the equidistant grid, not
+a search, in time linear in strides plus events.
 
 Failed replications (an estimator raising ``NumericalError``) and
 saturated indicator estimates are excluded from the moments and counted in
@@ -50,8 +54,9 @@ from .estimators import (
     summarize_increments,
 )
 from .seeding import SeedSpec, _replication_generators, replication_stream
-from .simulate import (FlightParams, _check_event_count, _check_n, _check_steps, _draw, _grid,
-                       _grid_positions, _stride_slack, sample_at_grid, simulate_trajectory)
+from .simulate import (FlightParams, _check_event_count, _check_n, _check_steps, _check_stride,
+                       _chunk, _draw, _flight_block, _grid, _grid_positions, _stride_slack,
+                       sample_at_grid, simulate_trajectory)
 
 __all__ = [
     "ExperimentConfig",
@@ -105,6 +110,7 @@ class ExperimentConfig:
         for field, value in checked.items():
             object.__setattr__(self, field, value)
         _check_event_count(max(lams), self.horizon)
+        _check_stride(self.speed, self.horizon / min(ns))  # the cell with the longest stride
 
 
 @dataclass(frozen=True)
@@ -162,31 +168,44 @@ def run_replication(config: ExperimentConfig, lambda_index: int, n_index: int,
                              rep_index=rep_index, estimates=estimates)
 
 
-# Strides per block of replications: mc-grid timed alike at 2^12 to 2^15, a quarter slower at 2^11.
-_BLOCK_STRIDES = 1 << 13
+# Columns per block of replications, strides plus drawn events: mc-grid timed alike at 2^14
+# and 2^15, slower at 2^13 and 2^16.
+_BLOCK_STRIDES = 1 << 15
 
 
 def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
                start: int, stop: int) -> dict[str, np.ndarray]:
-    """Replications [start, stop) of one cell, run as (B, n) arrays of B = _BLOCK_STRIDES // n."""
-    params = FlightParams(rate=config.lambda_grid[lambda_index], speed=config.speed)
-    n, horizon, speed = config.n_grid[n_index], config.horizon, config.speed
-    delta = horizon / n
+    """Replications [start, stop) of one cell, run in blocks of _BLOCK_STRIDES // (n + chunk)."""
+    rate, n = config.lambda_grid[lambda_index], config.n_grid[n_index]
+    horizon, speed = config.horizon, config.speed
+    delta, chunk = horizon / n, _chunk(rate, horizon)
     out = {name: np.empty(stop - start) for name in config.estimators}
-    size = max(1, min(stop - start, _BLOCK_STRIDES // n))
-    # Built once for all blocks: a positions buffer per block doubled the faults at n = 200,000.
-    grid, positions = _grid(horizon, n), np.empty((size, n + 1, 2))
+    size = max(1, min(stop - start, _BLOCK_STRIDES // (n + chunk)))
+    # Built once for all blocks: at n = 200,000, planes per block took 2.4 to 3 times the
+    # page faults, and draw arrays per block 1.8 times.
+    grid, planes = _grid(horizon, n), np.empty((2, size, n + 1))
+    gaps, uniforms = np.empty((size, chunk)), np.empty((size, chunk))
     rngs = _replication_generators(config.master_seed, lambda_index, n_index, start, stop)
+
+    def redraw(rep: int) -> tuple[np.ndarray, np.ndarray]:
+        seed = SeedSpec(config.master_seed, replication_stream(lambda_index, n_index, rep))
+        return _draw(seed.generator(), rate, horizon)
+
     for first in range(start, stop, size):
-        reps = range(first, min(first + size, stop))
-        flights = [_draw(next(rngs), params.rate, horizon) for _ in reps]
-        slack = _stride_slack(_grid_positions(params, horizon, flights, grid,
-                                              positions[:len(reps)]), speed, delta)
+        rows = min(size, stop - first)
+        for row in range(rows):
+            rng = next(rngs)
+            rng.standard_exponential(out=gaps[row], method="inv")
+            rng.random(out=uniforms[row])
+        flights = _flight_block(gaps[:rows], uniforms[:rows], rate, horizon,
+                                lambda row: redraw(first + row))
+        x, y = _grid_positions(speed, grid, *flights, planes[:, :rows])
+        slack = _stride_slack(x, y, speed, delta)
         _check_steps(slack, speed, delta)
         _, n_plus, s = _classify(slack, delta, speed, config.epsilon)
         for name in config.estimators:
             formula = ESTIMATORS[name][2]
-            out[name][first - start:reps.stop - start] = [
+            out[name][first - start:first - start + rows] = [
                 formula(k, s_k, n, delta, speed) for k, s_k in zip(n_plus, s)]
     return out
 

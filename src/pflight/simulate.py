@@ -19,6 +19,7 @@ closed disc of radius c * t around the origin.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +103,16 @@ class Trajectory:
         return self.params.speed * float(np.sum(np.diff(self.knots())))
 
 
-def _stride_slack(pos: np.ndarray, speed: float, delta: float) -> np.ndarray:
-    """Each stride's (speed*delta)^2 - |P_i - P_{i-1}|^2, for float64 positions (..., n+1, 2)."""
+def _check_stride(speed: float, delta: float) -> None:
+    """Raise unless a full stride speed*delta squares to a finite double with room to spare."""
     if not speed * delta < 1e154:
         raise ParameterError(f"speed*delta = {speed * delta:.17g} must be below 1e154 to square")
-    dx, dy = pos[..., 1:, 0] - pos[..., :-1, 0], pos[..., 1:, 1] - pos[..., :-1, 1]
+
+
+def _stride_slack(x: np.ndarray, y: np.ndarray, speed: float, delta: float) -> np.ndarray:
+    """Each stride's (speed*delta)^2 - |P_i - P_{i-1}|^2, for float64 coordinates x, y (..., n+1)."""
+    _check_stride(speed, delta)
+    dx, dy = x[..., 1:] - x[..., :-1], y[..., 1:] - y[..., :-1]
     dx *= dx
     dx += np.square(dy, out=dy)
     return np.subtract((speed * delta) ** 2, dx, out=dx)
@@ -116,7 +122,7 @@ def _record_slack(pos: np.ndarray, speed: float, delta: float) -> np.ndarray:
     """The stride slacks of one record, whose positions must have shape (n+1, 2)."""
     if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
         raise ParameterError(f"positions must have shape (n+1, 2) with n >= 1, got {pos.shape}")
-    return _stride_slack(pos, speed, delta)
+    return _stride_slack(pos[:, 0], pos[:, 1], speed, delta)
 
 
 def _check_steps(slack: np.ndarray, speed: float, delta: float) -> None:
@@ -171,10 +177,15 @@ def _check_n(n: int, name: str = "n") -> int:
     return n
 
 
+def _chunk(rate: float, horizon: float) -> int:
+    """Exponentials drawn at a time for one flight: the expected count plus 6 sd plus 16."""
+    mean_count = _check_event_count(rate, horizon)
+    return max(16, int(mean_count + 6.0 * math.sqrt(mean_count) + 16.0))
+
+
 def _draw(rng: np.random.Generator, rate: float, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """The event times and headings of one flight, in the order ``simulate_trajectory`` draws."""
-    mean_count = _check_event_count(rate, horizon)
-    chunk = max(16, int(mean_count + 6.0 * math.sqrt(mean_count) + 16.0))
+    chunk = _chunk(rate, horizon)
     gaps = rng.standard_exponential(chunk, method="inv") / rate
     times = np.add.accumulate(gaps)
     while times[-1] <= horizon:
@@ -182,6 +193,43 @@ def _draw(rng: np.random.Generator, rate: float, horizon: float) -> tuple[np.nda
         times = np.concatenate((times, times[-1] + np.add.accumulate(gaps)))
     events = times[times < horizon]
     return events, 2.0 * np.pi * (1.0 - rng.random(events.size + 1))
+
+
+def _flight_block(gaps: np.ndarray, uniforms: np.ndarray, rate: float, horizon: float,
+                  redraw: Callable[[int], tuple[np.ndarray, np.ndarray]]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block of flights as padded arrays: knots (rows, w), headings (rows, w), event counts.
+
+    Row r of ``gaps`` (rows, chunk) holds the ``_chunk`` standard exponentials that ``_draw``
+    draws first from row r's stream, and row r of ``uniforms`` (rows, chunk) the uniforms
+    drawn next; ``gaps`` is overwritten. The headings are the first uniforms of the stream
+    after the exponentials, so a row with N events keeps ``_draw``'s bits in its first N + 1.
+    A row whose first chunk ends at or before the horizon, about 1e-9 of them, would take
+    ``_draw``'s while branch: ``redraw(r)`` gives its (events, directions) instead.
+
+    A row's knots are 0 then its events, padded at the horizon; its headings are its
+    directions, padded with finite values; w is one more than the most events of any row.
+    """
+    times = np.divide(gaps, rate, out=gaps)
+    np.add.accumulate(times, axis=1, out=times)
+    counts = np.count_nonzero(times < horizon, axis=1)
+    rare = {r: redraw(r) for r in np.flatnonzero(times[:, -1] <= horizon)}
+    for r, (events, _) in rare.items():
+        counts[r] = events.size
+    (rows, chunk), width = times.shape, int(counts.max()) + 1
+    knots, headings = np.empty((rows, width)), np.empty((rows, width))
+    knots[:, 0] = 0.0
+    drawn = min(width, chunk)
+    np.minimum(times[:, :drawn - 1], horizon, out=knots[:, 1:drawn])
+    knots[:, drawn:] = horizon
+    np.subtract(1.0, uniforms[:, :drawn], out=headings[:, :drawn])
+    headings[:, drawn:] = 0.0
+    headings *= 2.0 * np.pi
+    for r, (events, directions) in rare.items():
+        knots[r, 1:] = horizon
+        knots[r, 1:1 + events.size] = events
+        headings[r, :directions.size] = directions
+    return knots, headings, counts
 
 
 def simulate_trajectory(params: FlightParams, horizon: float,
@@ -214,78 +262,85 @@ def _grid(horizon: float, n: int) -> np.ndarray:
     return np.linspace(0.0, horizon, n + 1)
 
 
-def _grid_counts(grid: np.ndarray, event_rows: list[np.ndarray]) -> np.ndarray:
-    """Events per grid cell: (rows, n+1), [r, i] counting event_rows[r] in (grid[i-1], grid[i]].
+def _flight_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One trajectory as a block of one row, as ``_flight_block`` returns one."""
+    return traj.knots()[None, :-1], traj.directions[None], np.array([traj.event_count])
 
-    ``grid`` is ``_grid(horizon, n)`` and every event lies in (0, horizon). An event e's cell is
-    the first j with grid[j] >= e. With grid[j] = j * (horizon/n) rounded (grid[n] = horizon)
-    and n below 2**51 (``_check_n``), rint(e / (horizon/n)) is that j or j - 1, so one
-    comparison with grid[j] makes it exact, also for an event on a grid time or one ulp from
-    one. Column 0 counts nothing; the cumulative sum along a row is each grid time's segment.
+
+def _grid_counts(grid: np.ndarray, knots: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Events per grid cell: (rows, n+1), [r, i] counting row r's events in (grid[i-1], grid[i]].
+
+    ``grid`` is ``_grid(horizon, n)``; ``knots`` and ``counts`` are as ``_flight_block``
+    returns them, so row r's events lie in (0, horizon) and its padding equals horizon. An
+    event e's cell is the first j with grid[j] >= e. With grid[j] = j * (horizon/n) rounded
+    (grid[n] = horizon) and n below 2**51 (``_check_n``), rint(e / (horizon/n)) is that j or
+    j - 1, so one comparison with grid[j] makes it exact, also for an event on a grid time or
+    one ulp from one. Padding lands in cell n and is taken off there. Column 0 counts nothing;
+    the cumulative sum along a row is each grid time's segment.
     """
-    rows, n = len(event_rows), grid.size - 1
-    events = np.concatenate(event_rows)
+    rows, n = knots.shape[0], grid.size - 1
+    events = knots[:, 1:]
     q = np.divide(events, grid[-1] / n)
     j = np.rint(q, out=q).astype(np.intp)
     j += grid.take(j) < events
-    j += np.repeat(np.arange(0, rows * (n + 1), n + 1), [e.size for e in event_rows])
-    return np.bincount(j, minlength=rows * (n + 1)).reshape(rows, n + 1)
+    j += np.arange(0, rows * (n + 1), n + 1)[:, None]
+    k = np.bincount(j.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
+    k[:, n] -= events.shape[1] - counts
+    return k
 
 
-def _positions(params: FlightParams, horizon: float, flights: list[tuple[np.ndarray, np.ndarray]],
-               times: np.ndarray, k: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Fill ``pos`` (rows, m, 2) with positions at ``times``, (m,) or (rows, m).
+def _positions(speed: float, knots: np.ndarray, headings: np.ndarray, times: np.ndarray,
+               k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (2, rows, m), x then y, with positions relative to the origin at ``times``.
 
-    Row r follows ``flights[r]`` = (event_times, directions). ``k`` (rows, m), which it
-    overwrites, gives the number of the row's events at or before each time: the segment
-    holding it. With rem the time since the segment started, a position is
-    o + c * (cum[k] + rem * trig[k]), cum being the prefix sum of unit displacements. Rows
-    are padded with knots at the horizon and headings of 0: padded segments have length 0,
-    so no row's prefix sums change, and k never reaches them.
+    ``times`` is (m,) or (rows, m). ``knots`` and ``headings`` (rows, w) are as
+    ``_flight_block`` returns them. ``k`` (rows, m) is row r's flat offset r * w plus the
+    number of the row's events at or before each time: the segment holding it. With rem the
+    time since the segment started, a coordinate is c * (cum[k] + rem * trig[k]), cum being
+    the prefix sum of unit displacements. Padded segments have length 0, so no row's prefix
+    sums change, and k never reaches them. Callers add the origin after this, the last
+    operation.
     """
-    rows, width = len(flights), 2 + max(events.size for events, _ in flights)
-    knots = np.full((rows, width), horizon)
-    knots[:, 0] = 0.0
-    headings = np.zeros((rows, width))
-    for row, (events, directions) in enumerate(flights):
-        knots[row, 1:1 + events.size] = events
-        headings[row, :directions.size] = directions
-    k += np.arange(0, rows * width, width)[:, None]  # flat indices, for .take
-    # Per-segment arrays first, each freed once used, then per-time ones in place.
-    seg_dt = knots[:, 1:] - knots[:, :-1]
-    trigs = (np.cos(headings), np.sin(headings))
-    del headings
-    cums = []
-    for trig in trigs:
-        cums.append(np.zeros((rows, width)))
-        np.add.accumulate(seg_dt * trig[:, :-1], axis=1, out=cums[-1][:, 1:])
-    del seg_dt
+    rows, width = knots.shape
+    x, y = out
     rem = knots.take(k)
     np.subtract(times, rem, out=rem)
-    del knots
-    for col, (o, trig, cum) in enumerate(zip(params.origin, trigs, cums)):
-        v = pos[..., col]
-        trig.take(k, out=v, mode="clip")  # k is in range; "clip" fills v unbuffered
+    seg_dt = knots[:, 1:] - knots[:, :-1]
+    # cum[k] goes into an array that is free by then: y before y is filled, rem after its use.
+    for trig_of, v, spare in ((np.cos, x, y), (np.sin, y, rem)):
+        trig = trig_of(headings)
+        cum = np.empty((rows, width))
+        cum[:, 0] = 0.0
+        np.add.accumulate(np.multiply(seg_dt, trig[:, :-1], out=cum[:, 1:]), axis=1,
+                          out=cum[:, 1:])
+        trig.take(k, out=v, mode="clip")  # k is in range; "clip" fills out unbuffered
         v *= rem
-        v += cum.take(k)
-        v *= params.speed
-        v += o
-    return pos
+        v += cum.take(k, out=spare, mode="clip")
+        v *= speed
+    return out
 
 
-def _grid_positions(params: FlightParams, horizon: float,
-                    flights: list[tuple[np.ndarray, np.ndarray]], grid: np.ndarray,
-                    pos: np.ndarray) -> np.ndarray:
+def _grid_positions(speed: float, grid: np.ndarray, knots: np.ndarray, headings: np.ndarray,
+                    counts: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``_positions`` on ``grid`` = ``_grid(horizon, n)``, with segments from ``_grid_counts``."""
-    k = _grid_counts(grid, [events for events, _ in flights])
-    return _positions(params, horizon, flights, grid, np.cumsum(k, axis=1, out=k), pos)
+    k = _grid_counts(grid, knots, counts)
+    rows, width = knots.shape
+    k[:, 0] = np.arange(0, rows * width, width)  # row offsets, which the running sum carries
+    return _positions(speed, knots, headings, grid, np.cumsum(k, axis=1, out=k), out)
+
+
+def _with_origin(planes: np.ndarray, origin: tuple[float, float]) -> np.ndarray:
+    """Positions (m, 2) from one row's planes (2, m) relative to ``origin``."""
+    return np.add(planes.T, origin, out=np.empty((planes.shape[1], 2)))
 
 
 def _trajectory_positions(traj: Trajectory, times: np.ndarray) -> np.ndarray:
     """Positions (times.size, 2) of one trajectory at 1-d ``times`` in [0, horizon], any order."""
+    knots, headings, _ = _flight_arrays(traj)
     k = traj.event_times.searchsorted(times, side="right")
-    return _positions(traj.params, traj.horizon, [(traj.event_times, traj.directions)],
-                      times, k[None], np.empty((1, times.size, 2)))[0]
+    planes = _positions(traj.params.speed, knots, headings, times, k[None],
+                        np.empty((2, 1, times.size)))
+    return _with_origin(planes[:, 0], traj.params.origin)
 
 
 def sample_at_grid(traj: Trajectory, n: int) -> DiscreteSample:
@@ -295,9 +350,10 @@ def sample_at_grid(traj: Trajectory, n: int) -> DiscreteSample:
     ``position_at`` at every grid point, bit for bit. n is at most 1e9.
     """
     n = _check_n(n)
-    pos = _grid_positions(traj.params, traj.horizon, [(traj.event_times, traj.directions)],
-                          _grid(traj.horizon, n), np.empty((1, n + 1, 2)))[0]
-    return DiscreteSample(params=traj.params, delta=traj.horizon / n, positions=pos)
+    planes = _grid_positions(traj.params.speed, _grid(traj.horizon, n), *_flight_arrays(traj),
+                             np.empty((2, 1, n + 1)))
+    return DiscreteSample(params=traj.params, delta=traj.horizon / n,
+                          positions=_with_origin(planes[:, 0], traj.params.origin))
 
 
 def vertex_positions(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -312,4 +368,5 @@ def vertex_positions(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
 
 def ground_truth_counts(traj: Trajectory, n: int) -> np.ndarray:
     """Number of direction changes inside each grid cell ((i-1)*delta, i*delta]."""
-    return _grid_counts(_grid(traj.horizon, _check_n(n)), [traj.event_times])[0, 1:]
+    knots, _, counts = _flight_arrays(traj)
+    return _grid_counts(_grid(traj.horizon, _check_n(n)), knots, counts)[0, 1:]

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import concurrent.futures
 import hashlib
 import importlib.metadata
 import io
@@ -29,6 +30,7 @@ from pflight import (
     radial_density_origin,
     run_experiment,
 )
+from pflight import montecarlo
 from pflight.cli import main
 from pflight.io import fmt_raw, summary_csv_lines
 
@@ -388,6 +390,22 @@ class TestMonteCarloCommand:
         assert record["error"] == "ParameterError"
         assert "lambda*T = 7e+16" in record["message"]
 
+    def test_unsquarable_stride_exits_2_before_the_pool(self, capsys, tmp_path, monkeypatch):
+        # c * T / n = 1e160 * 50 / 20 cannot be squared: rejected with the config, so no pool
+        # is built even where two processes would run.
+        built = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: built.append(kwargs))
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("PFL_THREADS", "2")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(self.CONFIG, c=1e160)))
+        code, out, err = run_cli(capsys, ["mc", "--config", str(path)])
+        assert (code, out, built) == (2, "", [])
+        record = json.loads(err)
+        assert record["error"] == "ParameterError"
+        assert "below 1e154" in record["message"]
+
     def test_huge_n_exits_2(self, capsys, tmp_path, monkeypatch):
         # n = 1e12 would ask for a 7.28 TiB positions buffer: rejected with the config.
         monkeypatch.setenv("PFL_THREADS", "2")
@@ -579,6 +597,9 @@ class TestGoldenOutput:
                "--r-min", "0", "--r-max", "0.9", "--points", "7"]
     MC_CONFIG = {"lambda_grid": [0.5, 2.0], "n_grid": [20, 50], "T": 50.0, "reps": 20,
                  "master_seed": 11}
+    # Long records: every block of the Monte Carlo kernel holds one replication.
+    MC_LONG_CONFIG = {"lambda_grid": [0.5, 2.0], "n_grid": [20_000], "T": 10_000.0, "reps": 4,
+                      "master_seed": 11}
     # Pinned before the shared flag helpers and the single exit-code rule; a change
     # to any of these bytes is an output change, not a refactor.
     DIGESTS = {
@@ -595,6 +616,8 @@ class TestGoldenOutput:
         "fisher": "3377cca248e88fe9b99ffc162ea95476676fa586f0d114fccf240dbc9b235b8c",
         "mc summary": "414418bf63e48b242b06a69da253a1b9795c146c0bddeeaf3c3ce6a6b46b9116",
         "mc raw": "59656f949c5aec53d1070f6147a15bdda1e1acf9c19a7d12409ec1c34dc049eb",
+        "mc long summary": "086daf092756cdf13c5e6a5c1325edfa05799d81edc939b66333dec0e65c5785",
+        "mc long raw": "c654d42e618cc43d06dacb071865bb3d5a1102f2bc8878cbd004f4193952ecd0",
     }
 
     def outputs(self, capsys, tmp_path):
@@ -620,10 +643,11 @@ class TestGoldenOutput:
         run("moments", ["moments", "--lambda", "1.0", "--c", "1.0", "--t", "1.0",
                         "--p-max", "3"])
         run("fisher", ["fisher", "--lambda", "2.0", "--delta", "0.5", "--n", "100"])
-        config, raw = tmp_path / "config.json", tmp_path / "raw.ndjson"
-        config.write_text(json.dumps(self.MC_CONFIG))
-        run("mc summary", ["mc", "--config", str(config), "--raw", str(raw)])
-        out["mc raw"] = raw.read_text()
+        for name, obj in (("mc", self.MC_CONFIG), ("mc long", self.MC_LONG_CONFIG)):
+            config, raw = tmp_path / "config.json", tmp_path / "raw.ndjson"
+            config.write_text(json.dumps(obj))
+            run(f"{name} summary", ["mc", "--config", str(config), "--raw", str(raw)])
+            out[f"{name} raw"] = raw.read_text()
         return out
 
     def test_digests(self, capsys, tmp_path, monkeypatch):

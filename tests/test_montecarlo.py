@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pflight
-from pflight import montecarlo
+from pflight import montecarlo, simulate
 from pflight import (
     EmptyCellError,
     ExperimentConfig,
@@ -278,17 +279,66 @@ class TestRunExperiment:
         assert out.config == cfg
 
 
+@pytest.mark.parametrize("chunk", [lambda rate, horizon: 1,
+                                   lambda rate, horizon: int(rate * horizon)],
+                         ids=["every row", "some rows"])
+def test_rare_rows_are_redrawn(monkeypatch, chunk):
+    # Under the frozen chunk rule about 1e-9 of the flights outlast their first chunk of
+    # exponentials; the kernel redraws those through _draw's while branch. A smaller rule,
+    # which _draw and the kernel share, makes them common: in every row, or in some rows of
+    # each block of 5. Every value keeps the reference path's bits.
+    monkeypatch.setattr(simulate, "_chunk", chunk)
+    monkeypatch.setattr(montecarlo, "_chunk", chunk)
+    redrawn = []
+
+    def spy(rng, rate, horizon):
+        redrawn.append(rate)
+        return simulate._draw(rng, rate, horizon)
+
+    monkeypatch.setattr(montecarlo, "_draw", spy)
+    cfg = ExperimentConfig(lambda_grid=(1.0,), n_grid=(30,), horizon=40.0, reps=17,
+                           master_seed=21, speed=1.5)
+    monkeypatch.setattr(montecarlo, "_BLOCK_STRIDES", 5 * (30 + chunk(1.0, 40.0)))
+    got = montecarlo._run_range(cfg, 0, 0, 2, 17)
+    if chunk(1.0, 40.0) == 1:
+        assert len(redrawn) == 15
+    else:
+        assert 0 < len(redrawn) < 15
+    for rep in range(2, 17):
+        estimates = run_replication(cfg, 0, 0, rep).estimates
+        for name in cfg.estimators:
+            est = estimates[name]
+            want = np.float64(math.nan if est is None else est.value)
+            assert got[name][rep - 2].tobytes() == want.tobytes(), (name, rep)
+
+
+def test_block_memory_follows_events(monkeypatch):
+    # lambda*T = 10,000 events at n = 10: a block is sized by strides plus drawn events, so
+    # it holds 3 flights, not the 819 that strides alone allowed. Those took 30 MB for 40
+    # replications and 611 MB for a share of 819, growing with lambda*T.
+    cfg = ExperimentConfig(lambda_grid=(20.0,), n_grid=(10,), horizon=500.0, reps=40,
+                           master_seed=3)
+    tracemalloc.start()
+    try:
+        montecarlo._run_range(cfg, 0, 0, 0, cfg.reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="pins glibc's heap behaviour through Linux fault counts")
 def test_long_record_kernel_keeps_its_heap():
-    # _run_range builds one grid and one positions buffer for all blocks, and _positions
-    # frees its per-segment arrays as it goes. Variants give the same values, but glibc then
-    # trims the heap top after each replication and faults the pages back in (Linux, glibc,
-    # master seeds 1-2 at this shape, fresh interpreters): without those dels 910-919 minor
-    # faults per replication, with a positions array per block 710-918, with a fresh array
-    # inside _positions 2,534-2,560, against 455 (590 at seed 2 with one edit elsewhere in
-    # montecarlo.py: the import leaves the heap laid out differently). Counted in a fresh
-    # interpreter: inside a long pytest run the heap is already grown and the kernel read 128.
+    # _run_range builds one grid, one pair of draw arrays and one pair of position planes for
+    # all blocks, and _positions writes into the planes. Variants give the same values, but
+    # glibc then trims the heap top after each replication and faults the pages back in
+    # (Linux, glibc, master seeds 1-2 at this shape, fresh interpreters): with draw arrays
+    # per block 329 minor faults per replication, with planes per block 432-526, with a fresh
+    # array inside _positions 1,950-1,964, against 178. The bound catches only the last; the
+    # counts also move with the heap layout (with two more statements in _positions, 170
+    # and 627-738). Counted in a fresh interpreter: inside a long pytest run the heap is
+    # already grown.
     script = textwrap.dedent("""
         import resource
         from pflight.montecarlo import ExperimentConfig, _run_range

@@ -200,10 +200,15 @@ def _on_grid(horizon, n, side):
 def test_grid_index_equals_searchsorted(block):
     # The grid paths find each grid time's segment by arithmetic on the equidistant grid;
     # searchsorted on the sorted times is the reference, for the running count k and for
-    # ground_truth_counts alike.
+    # ground_truth_counts alike. Rows are padded at the horizon, as a flight block is, with
+    # at least one padded column each.
     horizon, n, rows = block
     grid = np.linspace(0.0, horizon, n + 1)
-    k = _grid_counts(grid, rows)
+    knots = np.full((len(rows), 2 + max(events.size for events in rows)), horizon)
+    knots[:, 0] = 0.0
+    for r, events in enumerate(rows):
+        knots[r, 1:1 + events.size] = events
+    k = _grid_counts(grid, knots, np.array([events.size for events in rows]))
     np.cumsum(k, axis=1, out=k)
     assert k.tolist() == [events.searchsorted(grid, side="right").tolist() for events in rows]
     params = FlightParams(rate=1.0, speed=1.0)
@@ -292,7 +297,8 @@ def test_block_kernel_equals_run_replication(cell):
     # blocks that reuse the call's buffers after a mid-cell start.
     cfg, block, start, stop = cell
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_BLOCK_STRIDES", block * cfg.n_grid[0])
+        mp.setattr(montecarlo, "_BLOCK_STRIDES",
+                   block * (cfg.n_grid[0] + montecarlo._chunk(cfg.lambda_grid[0], cfg.horizon)))
         got = montecarlo._run_range(cfg, 0, 0, start, stop)
     for rep in range(start, stop):
         estimates = run_replication(cfg, 0, 0, rep).estimates
