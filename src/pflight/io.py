@@ -1,20 +1,24 @@
 """Serialization: position tables as CSV, entities as NDJSON.
 
-``csv_lines`` is the one place a CSV cell is formatted, for every table
-pflight writes: floats go through its ``fmt``, bools are written
-``true``/``false``, ints and strings through ``str``. Raw numeric output is
-printed with 17 significant digits so every float64 round-trips exactly;
-Monte Carlo summary tables use 6 significant digits. Writers format the
-Python floats of ``ndarray.tolist()``, not numpy scalars. JSON has no
-representation for non-finite floats, so a saturated or failed estimate
-serializes as ``null`` plus a boolean flag.
+Raw numeric output is printed with the one spec ``RAW_SPEC``, 17 significant
+digits, so every float64 round-trips exactly; ``fmt_raw``, ``fmt_json`` and
+the position-table block writers all read it. Position tables, the only
+tables that grow with a record, are written ``_ROWS`` rows at a time: one
+``%`` template per block over the Python floats of ``ndarray.tolist()``.
+``csv_lines`` formats every other (small) table a cell at a time: floats
+through its ``fmt``, bools as ``true``/``false``, ints and strings through
+``str``; Monte Carlo summary tables use 6 significant digits. The positions
+reader parses ``_ROWS`` lines at a time with ``int`` and ``float``, so it
+accepts exactly what they accept. JSON has no representation for
+non-finite floats, so a saturated or failed estimate serializes as
+``null`` plus a boolean flag.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import count
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -30,15 +34,19 @@ DENSITY_HEADER = "r,ac,singular_weight"
 MOMENTS_HEADER = "p,value_closed_form,value_quadrature"
 FISHER_HEADER = "lambda,delta,n,per_obs,idealized,total,full_per_obs"
 
+# 17 significant digits: lossless for float64. `format` and `%` give the same text.
+RAW_SPEC = ".17g"
+# Rows of a position table per block of text, written or read.
+_ROWS = 4096
+
 
 def fmt_raw(x: float) -> str:
-    """17 significant digits: lossless for float64."""
-    return format(float(x), ".17g")
+    return format(float(x), RAW_SPEC)
 
 
 def fmt_json(x: float) -> str:
     """``fmt_raw`` for NDJSON, where "-0" would read back as the integer 0."""
-    s = format(float(x), ".17g")
+    s = format(float(x), RAW_SPEC)
     return "-0.0" if s == "-0" else s
 
 
@@ -57,14 +65,35 @@ def csv_lines(header: str, rows: Iterable[tuple], fmt: Callable[[float], str] = 
                         else str(v) for v in row])
 
 
+def _text_blocks(table: np.ndarray, row: str, sep: str, numbered: bool = False
+                 ) -> Iterator[str]:
+    """``table``'s rows ``_ROWS`` at a time, each block one string: every row through the
+    ``%`` template ``row``, the rows joined by ``sep``. A ``numbered`` table's first
+    column is replaced by the row numbers as ints, which ``%d`` formats faster."""
+    full = sep.join([row] * _ROWS)
+    for start in range(0, len(table), _ROWS):
+        block = table[start:start + _ROWS]
+        values = block.ravel().tolist()
+        if numbered:
+            values[::block.shape[1]] = range(start, start + len(block))
+        template = full if len(block) == _ROWS else sep.join([row] * len(block))
+        yield template % tuple(values)
+
+
 # ---------------------------------------------------------------------------
 # positions as CSV
 # ---------------------------------------------------------------------------
 
+_CSV_ROW = f"%d,%{RAW_SPEC},%{RAW_SPEC},%{RAW_SPEC}"
+
+
 def positions_csv_lines(times: np.ndarray, positions: np.ndarray) -> Iterator[str]:
-    xs, ys = np.asarray(positions, dtype=np.float64).T.tolist()
-    return csv_lines(POSITIONS_HEADER,
-                     zip(count(), np.asarray(times, dtype=np.float64).tolist(), xs, ys))
+    """The header, then one ``i,t,x,y`` line per row."""
+    times = np.asarray(times, dtype=np.float64)
+    table = np.column_stack((np.zeros_like(times), times, np.asarray(positions, np.float64)))
+    yield POSITIONS_HEADER
+    for text in _text_blocks(table, _CSV_ROW, "\n", numbered=True):
+        yield from text.split("\n")
 
 
 def sample_csv_lines(sample: DiscreteSample) -> Iterator[str]:
@@ -86,8 +115,46 @@ def read_positions_csv(fh: TextIO) -> tuple[np.ndarray, float]:
     header = fh.readline().strip()
     if header != POSITIONS_HEADER:
         raise ParameterError(f"expected header {POSITIONS_HEADER!r}, got {header!r}")
-    rows: list[tuple[float, float, float]] = []
-    for lineno, line in enumerate(fh, start=2):
+    blocks: list[np.ndarray] = []
+    rows, lineno = 0, 2
+    while raw := list(islice(fh, _ROWS)):
+        block = _parse_block(raw, rows, lineno)
+        blocks.append(block)
+        rows += len(block)
+        lineno += len(raw)
+    if rows < 2:
+        raise ParameterError("need at least two position rows")
+    table = np.concatenate(blocks)
+    grid = table[:, 0]
+    if grid[0] != 0.0:
+        raise ParameterError(f"time grid must start at 0, got {float(grid[0])}")
+    n = rows - 1
+    delta = float(grid[1] - grid[0])
+    if delta <= 0.0:
+        raise ParameterError(f"non-increasing time grid: delta = {delta}")
+    expected = np.arange(n + 1) * delta
+    # Written so that a NaN time fails the test.
+    if not np.max(np.abs(grid - expected)) <= 1e-9 * max(delta, grid[-1]):
+        raise ParameterError("time column is non-finite or not an equidistant grid")
+    return np.ascontiguousarray(table[:, 1:]), delta
+
+
+def _parse_block(raw: list[str], first: int, lineno: int) -> np.ndarray:
+    """The (t, x, y) rows of ``raw`` lines, the first numbered ``lineno``, which must hold
+    the rows ``first``, ``first + 1``, ... and blank lines."""
+    lines = list(filter(None, map(str.strip, raw)))
+    if not lines:
+        return np.empty((0, 3))
+    if set(map(str.count, lines, repeat(","))) <= {3}:
+        fields = ",".join(lines).split(",")
+        try:
+            if list(map(int, fields[0::4])) == list(range(first, first + len(lines))):
+                del fields[0::4]
+                return np.array(list(map(float, fields))).reshape(-1, 3)
+        except ValueError:
+            pass
+    # Some line is wrong: walk the block again to name the first one.
+    for lineno, line in enumerate(raw, start=lineno):
         line = line.strip()
         if not line:
             continue
@@ -96,27 +163,13 @@ def read_positions_csv(fh: TextIO) -> tuple[np.ndarray, float]:
             raise ParameterError(f"line {lineno}: expected 4 fields, got {len(parts)}")
         try:
             i = int(parts[0])
-            row = (float(parts[1]), float(parts[2]), float(parts[3]))
+            float(parts[1]), float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise ParameterError(f"line {lineno}: {exc}") from None
-        if i != len(rows):
-            raise ParameterError(f"line {lineno}: expected index {len(rows)}, got {i}")
-        rows.append(row)
-    if len(rows) < 2:
-        raise ParameterError("need at least two position rows")
-    if rows[0][0] != 0.0:
-        raise ParameterError(f"time grid must start at 0, got {rows[0][0]}")
-    n = len(rows) - 1
-    delta = rows[1][0] - rows[0][0]
-    if delta <= 0.0:
-        raise ParameterError(f"non-increasing time grid: delta = {delta}")
-    table = np.array(rows)
-    grid = table[:, 0]
-    expected = np.arange(n + 1) * delta
-    # Written so that a NaN time fails the test.
-    if not np.max(np.abs(grid - expected)) <= 1e-9 * max(delta, grid[-1]):
-        raise ParameterError("time column is non-finite or not an equidistant grid")
-    return np.ascontiguousarray(table[:, 1:]), delta
+        if i != first:
+            raise ParameterError(f"line {lineno}: expected index {first}, got {i}")
+        first += 1
+    raise AssertionError("unreachable: the block parses line by line")
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +180,11 @@ def _json_pair(x: float, y: float) -> str:
     return f"[{fmt_json(x)},{fmt_json(y)}]"
 
 
-def _json_array(values: Iterable[float]) -> str:
-    return "[" + ",".join(fmt_json(v) for v in values) + "]"
+def _json_array(table: np.ndarray, row: str = f"%{RAW_SPEC}") -> str:
+    """A JSON array of ``table``'s rows through the template ``row``. "-0," and "-0]" can
+    only end the token -0, as RAW_SPEC writes two-digit exponents, so each becomes -0.0."""
+    text = "[" + ",".join(_text_blocks(np.asarray(table, dtype=np.float64), row, ",")) + "]"
+    return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
 
 
 def trajectory_ndjson_line(traj: Trajectory) -> str:
@@ -136,27 +192,27 @@ def trajectory_ndjson_line(traj: Trajectory) -> str:
     return ("{"
             f'"type":"trajectory","rate":{fmt_json(p.rate)},"speed":{fmt_json(p.speed)},'
             f'"origin":{_json_pair(*p.origin)},"horizon":{fmt_json(traj.horizon)},'
-            f'"event_times":{_json_array(traj.event_times.tolist())},'
-            f'"directions":{_json_array(traj.directions.tolist())}'
+            f'"event_times":{_json_array(traj.event_times)},'
+            f'"directions":{_json_array(traj.directions)}'
             "}")
 
 
 def sample_ndjson_line(sample: DiscreteSample) -> str:
     p = sample.params
-    pos = ",".join([_json_pair(x, y) for x, y in sample.positions.tolist()])
+    pos = _json_array(sample.positions, f"[%{RAW_SPEC},%{RAW_SPEC}]")
     return ("{"
             f'"type":"discrete_sample","rate":{fmt_json(p.rate)},"speed":{fmt_json(p.speed)},'
             f'"origin":{_json_pair(*p.origin)},"delta":{fmt_json(sample.delta)},'
-            f'"n":{sample.n},"positions":[{pos}]'
+            f'"n":{sample.n},"positions":{pos}'
             "}")
 
 
 def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.ndarray, float]:
     """Read the one discrete-sample record of a file; returns (positions, delta).
 
-    Blank lines are ignored. The record's ``delta``, ``n`` and ``speed`` must be JSON numbers
-    (not booleans), its ``n`` must match its number of positions, and its ``speed`` must
-    equal ``speed`` when the caller gives one.
+    Blank lines are ignored. The record's ``delta``, ``n``, ``speed`` and every coordinate
+    of its ``positions`` rows must be JSON numbers (not booleans), its ``n`` must match its
+    number of positions, and its ``speed`` must equal ``speed`` when the caller gives one.
     """
     lines = [line for line in map(str.strip, fh) if line]
     if len(lines) != 1:
@@ -169,7 +225,11 @@ def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.nd
     if kind != "discrete_sample":
         raise ParameterError(f"expected a discrete_sample record, got {kind!r}")
     try:
-        positions = np.asarray(obj["positions"], dtype=np.float64)
+        rows = obj["positions"]
+        # One C-level pass over the coordinates; a bare number among the rows is a TypeError.
+        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            raise TypeError("positions must be rows of numbers")
+        positions = np.asarray(rows, dtype=np.float64)
         meta = delta, n, record_speed = obj["delta"], obj["n"], obj["speed"]
         if not all(type(v) in (int, float) for v in meta):
             raise TypeError(f"delta, n and speed must be numbers, got {meta!r}")
@@ -211,6 +271,7 @@ def raw_ndjson_lines(outcome) -> Iterator[str]:
         for ni, n in enumerate(cfg.n_grid):
             columns = [(ESTIMATOR_KINDS[name], outcome.values[(li, ni, name)].tolist())
                        for name in cfg.estimators]
+            head = f'{{"lambda":{fmt_json(rate)},"n":{n},"rep":'
             for rep in range(cfg.reps):
                 fields = []
                 for kind, values in columns:
@@ -221,5 +282,4 @@ def raw_ndjson_lines(outcome) -> Iterator[str]:
                         fields.append(f'"{kind}":{{"value":null,"saturated":true}}')
                     else:
                         fields.append(f'"{kind}":{{"value":{fmt_json(v)}}}')
-                yield ("{" + f'"lambda":{fmt_json(rate)},"n":{n},"rep":{rep},'
-                       + ",".join(fields) + "}")
+                yield f"{head}{rep}," + ",".join(fields) + "}"

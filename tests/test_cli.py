@@ -170,6 +170,15 @@ class TestEstimate:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "ParameterError"
 
+    def test_boolean_positions_exit_2(self, capsys, tmp_path):
+        # JSON false and true would read as 0.0 and 1.0, strides of one at speed 1.
+        path = tmp_path / "bools.ndjson"
+        path.write_text('{"type":"discrete_sample","delta":1,"n":2,"speed":1,'
+                        '"positions":[[false,false],[true,false],[true,true]]}\n')
+        code, out, err = run_cli(capsys, ["estimate", "--in", str(path), "--c", "1"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ParameterError"
+
     @pytest.mark.parametrize("epsilon, expected_code", [(None, 2), ("1e-3", 0)])
     def test_long_stride_limit_is_epsilon(self, capsys, tmp_path, epsilon, expected_code):
         # |step|^2 = 1.0004^2 = 1.0008 (c * delta)^2: beyond the default epsilon,
@@ -593,6 +602,9 @@ class TestGoldenOutput:
     """sha256 of the bytes each subcommand writes, so that a refactor keeps every one."""
 
     START = SIM_ARGS + ["--x0", "3.5", "--y0", "-1.25"]
+    # A record of 10,001 rows: more than two blocks of the position writers and reader.
+    LONG_SAMPLE = ["simulate", "--lambda", "1.0", "--c", "1.0", "--T", "2500.0", "--n", "10000",
+                   "--seed", "42", "--x0", "3.5", "--y0", "-1.25", "--emit", "sample"]
     DENSITY = ["density", "--lambda", "1.0", "--c", "1.0", "--t", "1.0",
                "--r-min", "0", "--r-max", "0.9", "--points", "7"]
     MC_CONFIG = {"lambda_grid": [0.5, 2.0], "n_grid": [20, 50], "T": 50.0, "reps": 20,
@@ -607,6 +619,8 @@ class TestGoldenOutput:
         "simulate sample ndjson": "d36a51df5497124ae023f3b2447493fabf17144d6de0f9053a6862992bea8d50",
         "simulate trajectory csv": "e4f65841bf6af7a8fbc70d70b2a2a0b83ad473b20c2c0b47e9c2642f17cac20b",
         "simulate trajectory ndjson": "316e46ee5103d1cd2e880670d866eb6ee2f3ee90a04cf440f28baea700369b68",
+        "simulate long sample csv": "5e8e7a54a21037f7cfcefb0247fb2acb81df8c99dcc809e9d2ef2589fe319bac",
+        "simulate long sample ndjson": "137f58827ad1373a11d6c3de114acc2b0b1b043d08107923556336433d2cb23a",
         "estimate csv": "3d8da986f17ecc8b78937c317f93a04aaf588ad27e7d15e03b4a292eca597c21",
         "estimate ndjson": "3d8da986f17ecc8b78937c317f93a04aaf588ad27e7d15e03b4a292eca597c21",
         "estimate epsilon": "3d8da986f17ecc8b78937c317f93a04aaf588ad27e7d15e03b4a292eca597c21",
@@ -631,6 +645,8 @@ class TestGoldenOutput:
         for emit in ("sample", "trajectory"):
             for fmt in ("csv", "ndjson"):
                 run(f"simulate {emit} {fmt}", self.START + ["--emit", emit, "--format", fmt])
+        for fmt in ("csv", "ndjson"):
+            run(f"simulate long sample {fmt}", self.LONG_SAMPLE + ["--format", fmt])
         for fmt in ("csv", "ndjson"):
             path = tmp_path / f"sample.{fmt}"
             path.write_text(out[f"simulate sample {fmt}"])

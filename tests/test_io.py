@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,13 +27,16 @@ from pflight.io import (
     MOMENTS_HEADER,
     POSITIONS_HEADER,
     SUMMARY_HEADER,
+    _ROWS,
     estimates_csv_lines,
+    fmt_json,
     fmt_raw,
     fmt_summary,
     raw_ndjson_lines,
     read_positions_csv,
     read_sample_ndjson,
     sample_csv_lines,
+    positions_csv_lines,
     sample_ndjson_line,
     summary_csv_lines,
     trajectory_csv_lines,
@@ -143,6 +147,106 @@ class TestPositionsCsv:
         assert str(exc.value) == message
 
 
+# Values whose text is easy to get wrong, placed on the rows around block boundaries.
+SPECIALS = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308)
+FINITE_SPECIALS = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -5e-324)
+BLOCK_SIZES = (_ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1)
+
+
+def boundary_table(rows, specials, columns=3):
+    """Random finite rows with ``specials`` cycled over the columns of the first row, the
+    rows on both sides of each block boundary and the last row."""
+    table = np.random.default_rng(rows).normal(scale=50.0, size=(rows, columns))
+    marked = sorted({0, rows - 1} | {b + d for b in range(_ROWS, rows, _ROWS) for d in (-1, 0)})
+    cycle = iter(specials * (len(marked) * columns))
+    for r in marked:
+        table[r] = [next(cycle) for _ in range(columns)]
+    return table
+
+
+def reference_csv(times, positions):
+    """The per-cell formula: every value through fmt_raw, row by row."""
+    return [POSITIONS_HEADER] + [f"{i},{fmt_raw(t)},{fmt_raw(x)},{fmt_raw(y)}"
+                                 for i, (t, (x, y)) in enumerate(zip(times, positions))]
+
+
+def reference_json_array(values):
+    return "[" + ",".join(fmt_json(v) for v in values) + "]"
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("rows", BLOCK_SIZES)
+    def test_csv_matches_per_cell_formula(self, rows):
+        table = boundary_table(rows, SPECIALS)
+        assert list(positions_csv_lines(table[:, 0], table[:, 1:])) == reference_csv(
+            table[:, 0].tolist(), table[:, 1:].tolist())
+
+    @pytest.mark.parametrize("rows", BLOCK_SIZES)
+    def test_ndjson_matches_per_cell_formula(self, rows):
+        # Duck-typed records: the writers read only these fields, and the record classes
+        # would reject the non-finite values.
+        table = boundary_table(rows, SPECIALS, columns=4)
+        params = SimpleNamespace(rate=1.0, speed=1.0, origin=(-0.0, 0.0))
+        sample = SimpleNamespace(params=params, delta=0.5, n=rows - 1, positions=table[:, :2])
+        pairs = ",".join(f"[{fmt_json(x)},{fmt_json(y)}]" for x, y in table[:, :2].tolist())
+        assert sample_ndjson_line(sample) == (
+            '{"type":"discrete_sample","rate":1,"speed":1,"origin":[-0.0,0],"delta":0.5,'
+            f'"n":{rows - 1},"positions":[{pairs}]}}')
+        traj = SimpleNamespace(params=params, horizon=9.0, event_times=table[:, 2],
+                               directions=table[:, 3])
+        assert trajectory_ndjson_line(traj) == (
+            '{"type":"trajectory","rate":1,"speed":1,"origin":[-0.0,0],"horizon":9,'
+            f'"event_times":{reference_json_array(table[:, 2].tolist())},'
+            f'"directions":{reference_json_array(table[:, 3].tolist())}}}')
+
+    @pytest.mark.parametrize("rows", BLOCK_SIZES)
+    def test_finite_tables_read_back_bit_for_bit(self, rows):
+        positions = boundary_table(rows, FINITE_SPECIALS, columns=2)
+        times = np.arange(rows) * 0.25
+        text = "\n".join(positions_csv_lines(times, positions)) + "\n"
+        got, delta = read_positions_csv(io.StringIO(text))
+        assert delta == 0.25
+        assert got.tobytes() == positions.tobytes()
+        params = SimpleNamespace(rate=1.0, speed=1.0, origin=(0.0, 0.0))
+        sample = SimpleNamespace(params=params, delta=0.25, n=rows - 1, positions=positions)
+        got, delta = read_sample_ndjson(io.StringIO(sample_ndjson_line(sample)))
+        assert delta == 0.25
+        assert got.tobytes() == positions.tobytes()
+
+    @staticmethod
+    def second_block(bad_line):
+        """Ten rows and blank lines fill the first block; the second holds ten more rows,
+        then ``bad_line``, then a good row. Returns the text and the bad line's number."""
+        lines = ([POSITIONS_HEADER] + [f"{i},{i},0,0" for i in range(10)]
+                 + [""] * (_ROWS - 10) + [f"{i},{i},0,0" for i in range(10, 20)])
+        return "\n".join(lines + [bad_line, "21,21,0,0"]) + "\n", len(lines) + 1
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("20,20,abc,0", "could not convert string to float: 'abc'"),
+        ("21,20,0,0", "expected index 20, got 21"),
+        ("20,20,0", "expected 4 fields, got 3"),
+    ])
+    def test_errors_in_the_second_block_name_their_line(self, bad_line, message):
+        text, lineno = self.second_block(bad_line)
+        assert lineno == _ROWS + 12
+        with pytest.raises(ParameterError) as exc:
+            read_positions_csv(io.StringIO(text))
+        assert str(exc.value) == f"line {lineno}: {message}"
+
+    def test_blank_blocks_between_rows(self):
+        # A block of nothing but blank lines does not end the table.
+        text = "\n".join([POSITIONS_HEADER, "0,0,0,0"] + [""] * (2 * _ROWS)
+                         + ["1,1,0.5,0", "2,2,1,0"]) + "\n"
+        positions, delta = read_positions_csv(io.StringIO(text))
+        assert (positions.tolist(), delta) == ([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], 1.0)
+
+    @pytest.mark.parametrize("blanks", [1, _ROWS, 2 * _ROWS + 1])
+    def test_header_and_blank_lines_only(self, blanks):
+        with pytest.raises(ParameterError) as exc:
+            read_positions_csv(io.StringIO(POSITIONS_HEADER + "\n" * (blanks + 1)))
+        assert str(exc.value) == "need at least two position rows"
+
+
 class TestNdjson:
     def test_sample_round_trip(self):
         _, sample = make_sample()
@@ -226,6 +330,20 @@ class TestNdjson:
         for huge in (dict(obj, delta=10**400), dict(obj, positions=[[0, 0], [10**400, 0]])):
             with pytest.raises(ParameterError, match="malformed discrete_sample record"):
                 read_sample_ndjson(io.StringIO(json.dumps(huge)), speed=1.0)
+
+    def test_positions_must_be_numbers(self):
+        # JSON false and true would read as 0.0 and 1.0.
+        obj = {"type": "discrete_sample", "delta": 1, "n": 2, "speed": 1,
+               "positions": [[0, 0], [0.5, 0], [0.5, 0.5]]}
+        positions, _ = read_sample_ndjson(io.StringIO(json.dumps(obj)), speed=1.0)
+        assert positions.tolist() == [[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]]
+        for bad in (False, True, "0.5", None, [0.5], {}):
+            rows = [[0, 0], [0.5, bad], [0.5, 0.5]]
+            with pytest.raises(ParameterError, match="positions must be rows of numbers"):
+                read_sample_ndjson(io.StringIO(json.dumps(dict(obj, positions=rows))))
+        # A flat list of numbers is not a list of rows.
+        with pytest.raises(ParameterError, match="malformed discrete_sample record"):
+            read_sample_ndjson(io.StringIO(json.dumps(dict(obj, positions=[0, 0.5, 1]))))
 
     def test_rejects_n_mismatch(self):
         _, sample = make_sample()
