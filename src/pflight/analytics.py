@@ -124,10 +124,10 @@ def planar_density_ac(params: FlightParams, t: float, point: tuple[float, float]
     dy = y - params.origin[1]
     ct = c * t
     w = (ct - dx) * (ct + dx) - dy * dy if abs(dx) >= abs(dy) else (ct - dy) * (ct + dy) - dx * dx
-    if w <= 0.0:
+    if not w > 0.0:
         raise DomainError(
             f"point at squared distance {dx * dx + dy * dy:.17g} from the origin is "
-            f"outside the open disc of radius {ct:.17g}")
+            f"non-finite or outside the open disc of radius {ct:.17g}")
     root = math.sqrt(w)
     return rate / (2.0 * math.pi * c) * math.exp((rate / c) * root - rate * t) / root
 

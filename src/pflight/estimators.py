@@ -258,6 +258,8 @@ def pseudo_likelihood_ratio(summary: IncrementSummary, rate: float, z: float) ->
     """
     rate = require_positive("rate", rate, DomainError)
     z = float(z)
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
     n, delta, c = summary.n, summary.delta, summary.speed
     phi = rate / math.sqrt(n)
     if rate + phi * z <= 0.0:

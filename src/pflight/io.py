@@ -176,10 +176,6 @@ def _parse_block(raw: list[str], first: int, lineno: int) -> np.ndarray:
 # NDJSON records
 # ---------------------------------------------------------------------------
 
-def _json_pair(x: float, y: float) -> str:
-    return f"[{fmt_json(x)},{fmt_json(y)}]"
-
-
 def _json_array(table: np.ndarray, row: str = f"%{RAW_SPEC}") -> str:
     """A JSON array of ``table``'s rows through the template ``row``. "-0," and "-0]" can
     only end the token -0, as RAW_SPEC writes two-digit exponents, so each becomes -0.0."""
@@ -191,7 +187,7 @@ def trajectory_ndjson_line(traj: Trajectory) -> str:
     p = traj.params
     return ("{"
             f'"type":"trajectory","rate":{fmt_json(p.rate)},"speed":{fmt_json(p.speed)},'
-            f'"origin":{_json_pair(*p.origin)},"horizon":{fmt_json(traj.horizon)},'
+            f'"origin":{_json_array(p.origin)},"horizon":{fmt_json(traj.horizon)},'
             f'"event_times":{_json_array(traj.event_times)},'
             f'"directions":{_json_array(traj.directions)}'
             "}")
@@ -202,7 +198,7 @@ def sample_ndjson_line(sample: DiscreteSample) -> str:
     pos = _json_array(sample.positions, f"[%{RAW_SPEC},%{RAW_SPEC}]")
     return ("{"
             f'"type":"discrete_sample","rate":{fmt_json(p.rate)},"speed":{fmt_json(p.speed)},'
-            f'"origin":{_json_pair(*p.origin)},"delta":{fmt_json(sample.delta)},'
+            f'"origin":{_json_array(p.origin)},"delta":{fmt_json(sample.delta)},'
             f'"n":{sample.n},"positions":{pos}'
             "}")
 

@@ -21,7 +21,9 @@ reference path through the public functions, gives every value the same
 bits. Each replication fills one row of the block's exponentials and
 uniforms from its own stream, and every later step is one pass over the
 block: event times, knots, headings, the x and y planes of the positions
-and the stride slacks. A block observes its flights through
+and the stride slacks. A replication whose flight outlasts its first chunk
+of exponentials, about 1e-9 of them, takes its values from
+``run_replication``. A block observes its flights through
 ``simulate._grid_positions``, which ``sample_at_grid`` calls with one row:
 each grid time's segment comes from arithmetic on the equidistant grid, not
 a search, in time linear in strides plus events.
@@ -55,7 +57,7 @@ from .estimators import (
 )
 from .seeding import SeedSpec, _replication_generators, replication_stream
 from .simulate import (FlightParams, _check_event_count, _check_n, _check_steps, _check_stride,
-                       _chunk, _draw, _flight_block, _grid, _grid_positions, _stride_slack,
+                       _chunk, _flight_block, _grid, _grid_positions, _stride_slack,
                        sample_at_grid, simulate_trajectory)
 
 __all__ = [
@@ -186,19 +188,13 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
     grid, planes = _grid(horizon, n), np.empty((2, size, n + 1))
     gaps, uniforms = np.empty((size, chunk)), np.empty((size, chunk))
     rngs = _replication_generators(config.master_seed, lambda_index, n_index, start, stop)
-
-    def redraw(rep: int) -> tuple[np.ndarray, np.ndarray]:
-        seed = SeedSpec(config.master_seed, replication_stream(lambda_index, n_index, rep))
-        return _draw(seed.generator(), rate, horizon)
-
     for first in range(start, stop, size):
         rows = min(size, stop - first)
         for row in range(rows):
             rng = next(rngs)
             rng.standard_exponential(out=gaps[row], method="inv")
             rng.random(out=uniforms[row])
-        flights = _flight_block(gaps[:rows], uniforms[:rows], rate, horizon,
-                                lambda row: redraw(first + row))
+        *flights, rare = _flight_block(gaps[:rows], uniforms[:rows], rate, horizon)
         x, y = _grid_positions(speed, grid, *flights, planes[:, :rows])
         slack = _stride_slack(x, y, speed, delta)
         _check_steps(slack, speed, delta)
@@ -207,6 +203,10 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
             formula = ESTIMATORS[name][2]
             out[name][first - start:first - start + rows] = [
                 formula(k, s_k, n, delta, speed) for k, s_k in zip(n_plus, s)]
+        for row in rare:
+            estimates = run_replication(config, lambda_index, n_index, first + row).estimates
+            for name, est in estimates.items():
+                out[name][first - start + row] = math.nan if est is None else est.value
     return out
 
 

@@ -19,7 +19,6 @@ closed disc of radius c * t around the origin.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,41 +194,36 @@ def _draw(rng: np.random.Generator, rate: float, horizon: float) -> tuple[np.nda
     return events, 2.0 * np.pi * (1.0 - rng.random(events.size + 1))
 
 
-def _flight_block(gaps: np.ndarray, uniforms: np.ndarray, rate: float, horizon: float,
-                  redraw: Callable[[int], tuple[np.ndarray, np.ndarray]]
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A block of flights as padded arrays: knots (rows, w), headings (rows, w), event counts.
+def _flight_block(gaps: np.ndarray, uniforms: np.ndarray, rate: float, horizon: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A block of flights as padded arrays: knots (rows, w), headings (rows, w), event counts,
+    and the indices of the rare rows.
 
     Row r of ``gaps`` (rows, chunk) holds the ``_chunk`` standard exponentials that ``_draw``
     draws first from row r's stream, and row r of ``uniforms`` (rows, chunk) the uniforms
     drawn next; ``gaps`` is overwritten. The headings are the first uniforms of the stream
     after the exponentials, so a row with N events keeps ``_draw``'s bits in its first N + 1.
-    A row whose first chunk ends at or before the horizon, about 1e-9 of them, would take
-    ``_draw``'s while branch: ``redraw(r)`` gives its (events, directions) instead.
+    A rare row, whose first chunk ends at or before the horizon (about 1e-9 of them), would
+    take ``_draw``'s while branch: it keeps its first chunk - 1 events and runs straight from
+    the last of them to the horizon; the Monte Carlo kernel takes such a replication's
+    values from ``run_replication``. Every other row has at most chunk - 1 events, so
+    w <= chunk.
 
     A row's knots are 0 then its events, padded at the horizon; its headings are its
     directions, padded with finite values; w is one more than the most events of any row.
     """
     times = np.divide(gaps, rate, out=gaps)
     np.add.accumulate(times, axis=1, out=times)
+    rare = np.flatnonzero(times[:, -1] <= horizon)
+    times[rare, -1] = horizon
     counts = np.count_nonzero(times < horizon, axis=1)
-    rare = {r: redraw(r) for r in np.flatnonzero(times[:, -1] <= horizon)}
-    for r, (events, _) in rare.items():
-        counts[r] = events.size
-    (rows, chunk), width = times.shape, int(counts.max()) + 1
-    knots, headings = np.empty((rows, width)), np.empty((rows, width))
+    width = int(counts.max()) + 1
+    knots = np.empty((times.shape[0], width))
     knots[:, 0] = 0.0
-    drawn = min(width, chunk)
-    np.minimum(times[:, :drawn - 1], horizon, out=knots[:, 1:drawn])
-    knots[:, drawn:] = horizon
-    np.subtract(1.0, uniforms[:, :drawn], out=headings[:, :drawn])
-    headings[:, drawn:] = 0.0
+    np.minimum(times[:, :width - 1], horizon, out=knots[:, 1:])
+    headings = np.subtract(1.0, uniforms[:, :width])
     headings *= 2.0 * np.pi
-    for r, (events, directions) in rare.items():
-        knots[r, 1:] = horizon
-        knots[r, 1:1 + events.size] = events
-        headings[r, :directions.size] = directions
-    return knots, headings, counts
+    return knots, headings, counts, rare
 
 
 def simulate_trajectory(params: FlightParams, horizon: float,

@@ -57,6 +57,11 @@ class TestPlanarDensity:
         with pytest.raises(DomainError):
             planar_density_ac(UNIT, 1.0, (1.2, 0.0))
 
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_point_rejected(self, point):
+        with pytest.raises(DomainError, match="non-finite or outside"):
+            planar_density_ac(UNIT, 1.0, point)
+
     def test_time_validation(self):
         with pytest.raises(ParameterError):
             planar_density_ac(UNIT, 0.0, (0.0, 0.0))

@@ -290,6 +290,11 @@ class TestLikelihoodRatio:
         with pytest.raises(DomainError):
             pseudo_likelihood_ratio(summ, 1.0, -2.1)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_z(self, z):
+        with pytest.raises(DomainError):
+            pseudo_likelihood_ratio(hand_summary(), 1.0, z)
+
     def test_log_ratio_mean_matches_local_theory(self):
         # At the true rate the log ratio at shift z is approximately
         # normal with mean -v/2 and variance v, where

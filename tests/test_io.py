@@ -277,6 +277,15 @@ class TestNdjson:
         value = json.loads(next(raw_ndjson_lines(outcome)))["indicator"]["value"]
         assert math.copysign(1.0, value) < 0 and isinstance(value, float)
 
+    def test_origin_keeps_negative_zero(self):
+        params = SimpleNamespace(rate=1.0, speed=1.0, origin=(-0.0, 5.0))
+        sample = SimpleNamespace(params=params, delta=0.5, n=1,
+                                 positions=np.array([[-0.0, 5.0], [0.5, 5.0]]))
+        traj = SimpleNamespace(params=params, horizon=9.0, event_times=np.array([1.0]),
+                               directions=np.array([2.0, 3.0]))
+        for line in (sample_ndjson_line(sample), trajectory_ndjson_line(traj)):
+            assert '"origin":[-0.0,5],' in line
+
     def test_rejects_wrong_type(self):
         traj, _ = make_sample()
         with pytest.raises(ParameterError):

@@ -284,18 +284,20 @@ class TestRunExperiment:
                          ids=["every row", "some rows"])
 def test_rare_rows_are_redrawn(monkeypatch, chunk):
     # Under the frozen chunk rule about 1e-9 of the flights outlast their first chunk of
-    # exponentials; the kernel redraws those through _draw's while branch. A smaller rule,
-    # which _draw and the kernel share, makes them common: in every row, or in some rows of
-    # each block of 5. Every value keeps the reference path's bits.
+    # exponentials; the kernel takes those from run_replication, whose draw takes _draw's
+    # while branch. A smaller rule, which _draw and the kernel share, makes them common: in
+    # every row, or in some rows of each block of 5. Every value keeps the reference path's
+    # bits.
     monkeypatch.setattr(simulate, "_chunk", chunk)
     monkeypatch.setattr(montecarlo, "_chunk", chunk)
     redrawn = []
+    draw = simulate._draw  # the original: the spy replaces simulate._draw itself
 
     def spy(rng, rate, horizon):
         redrawn.append(rate)
-        return simulate._draw(rng, rate, horizon)
+        return draw(rng, rate, horizon)
 
-    monkeypatch.setattr(montecarlo, "_draw", spy)
+    monkeypatch.setattr(simulate, "_draw", spy)
     cfg = ExperimentConfig(lambda_grid=(1.0,), n_grid=(30,), horizon=40.0, reps=17,
                            master_seed=21, speed=1.5)
     monkeypatch.setattr(montecarlo, "_BLOCK_STRIDES", 5 * (30 + chunk(1.0, 40.0)))

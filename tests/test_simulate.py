@@ -18,6 +18,7 @@ from pflight import (
     summarize_increments,
     vertex_positions,
 )
+from pflight.simulate import _chunk, _draw, _flight_block
 
 
 class TestFlightParams:
@@ -120,6 +121,38 @@ class TestSimulateTrajectory:
             simulate_trajectory(params, 0.0, SeedSpec(1))
         with pytest.raises(ParameterError):
             simulate_trajectory(params, -1.0, SeedSpec(1))
+
+
+class TestFlightBlock:
+    def test_rare_rows_keep_their_first_chunk(self):
+        # Rows 1, 2, 4 and 5 are drawn as the Monte Carlo kernel draws them; rows 0, 3 and 6
+        # get exponentials scaled down so that their first chunk ends before the horizon.
+        rate, horizon, rows = 1.5, 20.0, 7
+        chunk, rare_rows = _chunk(rate, horizon), [0, 3, 6]
+        gaps, uniforms = np.empty((rows, chunk)), np.empty((rows, chunk))
+        for row in range(rows):
+            rng = SeedSpec(5, row).generator()
+            rng.standard_exponential(out=gaps[row], method="inv")
+            rng.random(out=uniforms[row])
+        gaps[rare_rows] *= 0.01
+        own = np.add.accumulate(gaps / rate, axis=1)
+        knots, headings, counts, rare = _flight_block(gaps, uniforms, rate, horizon)
+        assert rare.tolist() == rare_rows
+        assert knots.shape == headings.shape == (rows, chunk)
+        for row in rare_rows:
+            assert counts[row] == chunk - 1
+            assert knots[row, 1:].tobytes() == own[row, :-1].tobytes()
+            # A valid flight on [0, horizon]: its last segment runs to the horizon.
+            Trajectory(FlightParams(rate=rate, speed=1.0), horizon, knots[row, 1:], headings[row])
+        for row in sorted(set(range(rows)) - set(rare_rows)):
+            events, directions = _draw(SeedSpec(5, row).generator(), rate, horizon)
+            count = events.size
+            assert counts[row] == count < chunk
+            assert knots[row, 0] == 0.0
+            assert knots[row, 1:count + 1].tobytes() == events.tobytes()
+            assert np.all(knots[row, count + 1:] == horizon)
+            assert headings[row, :count + 1].tobytes() == directions.tobytes()
+            assert np.all(np.isfinite(headings[row]))
 
 
 class TestPositions:
