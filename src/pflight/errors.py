@@ -70,7 +70,8 @@ class BesselOverflowError(NumericalError):
 
 
 # Neither accepts a bool. The concrete-type tests come first because the ABC isinstance
-# checks cost several times more; seeding calls require_int five times per replication.
+# checks cost several times more: run_replication and SeedSpec pay require_int per
+# replication, and the analytics functions make two or three checks per call.
 def _is_real(value) -> bool:
     return isinstance(value, float) or (type(value) is not bool and isinstance(value, (int, Real)))
 

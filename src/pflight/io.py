@@ -133,8 +133,9 @@ def read_positions_csv(fh: TextIO) -> tuple[np.ndarray, float]:
     if delta <= 0.0:
         raise ParameterError(f"non-increasing time grid: delta = {delta}")
     expected = np.arange(n + 1) * delta
-    # Written so that a NaN time fails the test.
-    if not np.max(np.abs(grid - expected)) <= 1e-9 * max(delta, grid[-1]):
+    # Written so that a NaN time fails the test; scaled by the expected end, not the last
+    # time read, so that an infinite last time cannot widen the tolerance.
+    if not np.max(np.abs(grid - expected)) <= 1e-9 * n * delta:
         raise ParameterError("time column is non-finite or not an equidistant grid")
     return np.ascontiguousarray(table[:, 1:]), delta
 

@@ -16,17 +16,18 @@ count. A share reseeds one generator per replication with states derived
 for a chunk of replications at once, bit-identical to ``SeedSpec.generator``.
 
 A cell's replications run in blocks of about ``_BLOCK_STRIDES`` columns,
-strides plus drawn events, evaluated as 2-d arrays; ``run_replication``, the
-reference path through the public functions, gives every value the same
-bits. Each replication fills one row of the block's exponentials and
-uniforms from its own stream, and every later step is one pass over the
-block: event times, knots, headings, the x and y planes of the positions
-and the stride slacks. A replication whose flight outlasts its first chunk
-of exponentials, about 1e-9 of them, takes its values from
-``run_replication``. A block observes its flights through
-``simulate._grid_positions``, which ``sample_at_grid`` calls with one row:
-each grid time's segment comes from arithmetic on the equidistant grid, not
-a search, in time linear in strides plus events.
+strides plus drawn events, evaluated as 2-d arrays. The kernel returns only
+each replication's ``n_plus`` and ``S``, with the bits of
+``run_replication``'s summary, and ``run_experiment`` applies each
+estimator's closed form from the registry to a cell's statistics. Each
+replication fills one row of the block's exponentials and uniforms from its
+own stream, and every later step is one pass over the block: event times,
+knots, headings, the x and y planes of the positions and the stride slacks. A
+replication whose flight outlasts its first chunk of exponentials, about 1e-9
+of them, takes its statistics from the reference summary. A block observes
+its flights through ``simulate._grid_positions``, which ``sample_at_grid``
+calls with one row: each grid time's segment comes from arithmetic on the
+equidistant grid, not a search, in time linear in strides plus events.
 
 Failed replications (an estimator raising ``NumericalError``) and
 saturated indicator estimates are excluded from the moments and counted in
@@ -50,6 +51,7 @@ from .estimators import (
     ESTIMATOR_KINDS,
     ESTIMATORS,
     Estimate,
+    IncrementSummary,
     _classify,
     check_epsilon,
     estimator_name,
@@ -113,6 +115,7 @@ class ExperimentConfig:
             object.__setattr__(self, field, value)
         _check_event_count(max(lams), self.horizon)
         _check_stride(self.speed, self.horizon / min(ns))  # the cell with the longest stride
+        require_positive("delta", self.horizon / max(ns))  # the cell with the shortest stride
 
 
 @dataclass(frozen=True)
@@ -153,13 +156,18 @@ class ExperimentOutcome:
     values: dict[tuple[int, int, str], np.ndarray]
 
 
+def _reference_summary(config: ExperimentConfig, li: int, ni: int, rep: int) -> IncrementSummary:
+    """One replication's record summary through the public functions."""
+    params = FlightParams(rate=config.lambda_grid[li], speed=config.speed)
+    seed = SeedSpec(config.master_seed, replication_stream(li, ni, rep))
+    traj = simulate_trajectory(params, config.horizon, seed)
+    return summarize_increments(sample_at_grid(traj, config.n_grid[ni]), config.epsilon)
+
+
 def run_replication(config: ExperimentConfig, lambda_index: int, n_index: int,
                     rep_index: int) -> ReplicationResult:
     """One replication of one cell, through the public functions: the block kernel's reference."""
-    params = FlightParams(rate=config.lambda_grid[lambda_index], speed=config.speed)
-    seed = SeedSpec(config.master_seed, replication_stream(lambda_index, n_index, rep_index))
-    traj = simulate_trajectory(params, config.horizon, seed)
-    summary = summarize_increments(sample_at_grid(traj, config.n_grid[n_index]), config.epsilon)
+    summary = _reference_summary(config, lambda_index, n_index, rep_index)
     estimates: dict[str, Estimate | None] = {}
     for name in config.estimators:
         try:
@@ -176,12 +184,12 @@ _BLOCK_STRIDES = 1 << 15
 
 
 def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
-               start: int, stop: int) -> dict[str, np.ndarray]:
-    """Replications [start, stop) of one cell, run in blocks of _BLOCK_STRIDES // (n + chunk)."""
+               start: int, stop: int) -> tuple[list[int], list[float]]:
+    """n_plus and S of replications [start, stop) of one cell, run in blocks of replications."""
     rate, n = config.lambda_grid[lambda_index], config.n_grid[n_index]
     horizon, speed = config.horizon, config.speed
     delta, chunk = horizon / n, _chunk(rate, horizon)
-    out = {name: np.empty(stop - start) for name in config.estimators}
+    n_plus, s = [], []
     size = max(1, min(stop - start, _BLOCK_STRIDES // (n + chunk)))
     # Built once for all blocks: at n = 200,000, planes per block took 2.4 to 3 times the
     # page faults, and draw arrays per block 1.8 times.
@@ -198,16 +206,13 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
         x, y = _grid_positions(speed, grid, *flights, planes[:, :rows])
         slack = _stride_slack(x, y, speed, delta)
         _check_steps(slack, speed, delta)
-        _, n_plus, s = _classify(slack, delta, speed, config.epsilon)
-        for name in config.estimators:
-            formula = ESTIMATORS[name][2]
-            out[name][first - start:first - start + rows] = [
-                formula(k, s_k, n, delta, speed) for k, s_k in zip(n_plus, s)]
+        _, block_n_plus, block_s = _classify(slack, delta, speed, config.epsilon)
         for row in rare:
-            estimates = run_replication(config, lambda_index, n_index, first + row).estimates
-            for name, est in estimates.items():
-                out[name][first - start + row] = math.nan if est is None else est.value
-    return out
+            summary = _reference_summary(config, lambda_index, n_index, first + row)
+            block_n_plus[row], block_s[row] = summary.n_plus, summary.sum_sqrt_u_turned
+        n_plus += block_n_plus
+        s += block_s
+    return n_plus, s
 
 
 def summarize(values: np.ndarray, rate: float, n: int, estimator_kind: str,
@@ -254,15 +259,13 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     """Run the whole grid and aggregate per cell.
 
     The same config and master seed produce byte-identical summaries for
-    any worker count: replication values are placed into preallocated
-    arrays by replication index and aggregated only after assembly.
+    any worker count: each cell's n_plus and S are assembled in replication
+    order before the estimators' closed forms run and the cell is aggregated.
     """
     processes = min(resolve_worker_count(workers), _usable_cpus())
     reps = config.reps
     cells = [(li, ni) for li in range(len(config.lambda_grid))
              for ni in range(len(config.n_grid))]
-    values = {(li, ni, name): np.empty(reps, dtype=np.float64)
-              for li, ni in cells for name in config.estimators}
 
     # One share of each cell per process: a cell's replications cost alike, so none idles.
     shares = min(processes, reps)
@@ -276,20 +279,26 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
         # Imported here: `import pflight` and one-process runs load no multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
         executor = ProcessPoolExecutor(max_workers=width)
+    # map yields in task order: a cell's shares arrive in replication order and its last
+    # share ends at reps, so each cell is finished while the pool runs the later ones.
+    values, summaries, n_plus, s = {}, [], [], []
     with executor as pool:
         mapper = map if pool is None else pool.map
-        for (li, ni, start, stop), arrs in zip(tasks, mapper(run, *zip(*tasks))):
-            for name, arr in arrs.items():
-                values[(li, ni, name)][start:stop] = arr
-
-    summaries = []
-    for li, ni in cells:
-        for name in config.estimators:
-            summaries.append(summarize(values[(li, ni, name)],
-                                       rate=config.lambda_grid[li],
-                                       n=config.n_grid[ni],
-                                       estimator_kind=ESTIMATOR_KINDS[name],
-                                       reps=reps))
+        for (li, ni, _, stop), share in zip(tasks, mapper(run, *zip(*tasks))):
+            n_plus += share[0]
+            s += share[1]
+            if stop < reps:
+                continue
+            rate, n = config.lambda_grid[li], config.n_grid[ni]
+            delta = config.horizon / n
+            for name in config.estimators:
+                formula = ESTIMATORS[name][2]
+                values[(li, ni, name)] = cell_values = np.array(
+                    [formula(k, s_k, n, delta, config.speed) for k, s_k in zip(n_plus, s)],
+                    dtype=np.float64)
+                summaries.append(summarize(cell_values, rate=rate, n=n,
+                                           estimator_kind=ESTIMATOR_KINDS[name], reps=reps))
+            n_plus, s = [], []
     return ExperimentOutcome(config=config, summaries=tuple(summaries), values=values)
 
 

@@ -206,8 +206,8 @@ def _flight_block(gaps: np.ndarray, uniforms: np.ndarray, rate: float, horizon: 
     A rare row, whose first chunk ends at or before the horizon (about 1e-9 of them), would
     take ``_draw``'s while branch: it keeps its first chunk - 1 events and runs straight from
     the last of them to the horizon; the Monte Carlo kernel takes such a replication's
-    values from ``run_replication``. Every other row has at most chunk - 1 events, so
-    w <= chunk.
+    n_plus and S from the summary behind ``run_replication``. Every other row has at most
+    chunk - 1 events, so w <= chunk.
 
     A row's knots are 0 then its events, padded at the horizon; its headings are its
     directions, padded with finite values; w is one more than the most events of any row.

@@ -415,6 +415,17 @@ class TestMonteCarloCommand:
         assert record["error"] == "ParameterError"
         assert "below 1e154" in record["message"]
 
+    def test_zero_stride_exits_2(self, capsys, tmp_path):
+        # T / n = 5e-324 / 3 underflows to 0: rejected with the config, not left to empty
+        # every cell.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(self.CONFIG, T=5e-324, n_grid=[3])))
+        code, out, err = run_cli(capsys, ["mc", "--config", str(path)])
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["error"] == "ParameterError"
+        assert record["message"] == "delta must be finite and > 0, got 0.0"
+
     def test_huge_n_exits_2(self, capsys, tmp_path, monkeypatch):
         # n = 1e12 would ask for a 7.28 TiB positions buffer: rejected with the config.
         monkeypatch.setenv("PFL_THREADS", "2")

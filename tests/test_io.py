@@ -140,6 +140,9 @@ class TestPositionsCsv:
          "time column is non-finite or not an equidistant grid"),
         ("i,t,x,y\n0,0,0,0\n1,1,0,0\n2,nan,0,0\n",
          "time column is non-finite or not an equidistant grid"),
+        # An infinite last time must not widen the tolerance for the middle ones.
+        ("i,t,x,y\n0,0,0,0\n1,1,0,0\n2,7,0,0\n3,inf,0,0\n",
+         "time column is non-finite or not an equidistant grid"),
     ])
     def test_error_messages(self, text, message):
         with pytest.raises(ParameterError) as exc:

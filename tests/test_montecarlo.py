@@ -99,6 +99,9 @@ class TestConfig:
             small_config(estimators=("hat", "nonsense"))
         with pytest.raises(ParameterError):
             small_config(master_seed=-1)
+        # T / n underflows to 0 in the cell with the shortest stride.
+        with pytest.raises(ParameterError, match="delta must be finite and > 0"):
+            small_config(horizon=5e-324, n_grid=(3,))
 
     def test_n_grid_values_must_be_integers(self):
         # The same rule as reps: no bools, no floats, even integral ones.
@@ -279,15 +282,9 @@ class TestRunExperiment:
         assert out.config == cfg
 
 
-@pytest.mark.parametrize("chunk", [lambda rate, horizon: 1,
-                                   lambda rate, horizon: int(rate * horizon)],
-                         ids=["every row", "some rows"])
-def test_rare_rows_are_redrawn(monkeypatch, chunk):
-    # Under the frozen chunk rule about 1e-9 of the flights outlast their first chunk of
-    # exponentials; the kernel takes those from run_replication, whose draw takes _draw's
-    # while branch. A smaller rule, which _draw and the kernel share, makes them common: in
-    # every row, or in some rows of each block of 5. Every value keeps the reference path's
-    # bits.
+def _force_rare_rows(monkeypatch, chunk):
+    """A cell whose rare rows are common under a smaller chunk rule, and the list that records
+    each of _draw's calls."""
     monkeypatch.setattr(simulate, "_chunk", chunk)
     monkeypatch.setattr(montecarlo, "_chunk", chunk)
     redrawn = []
@@ -301,17 +298,52 @@ def test_rare_rows_are_redrawn(monkeypatch, chunk):
     cfg = ExperimentConfig(lambda_grid=(1.0,), n_grid=(30,), horizon=40.0, reps=17,
                            master_seed=21, speed=1.5)
     monkeypatch.setattr(montecarlo, "_BLOCK_STRIDES", 5 * (30 + chunk(1.0, 40.0)))
-    got = montecarlo._run_range(cfg, 0, 0, 2, 17)
+    return cfg, redrawn
+
+
+@pytest.mark.parametrize("chunk", [lambda rate, horizon: 1,
+                                   lambda rate, horizon: int(rate * horizon)],
+                         ids=["every row", "some rows"])
+def test_rare_rows_are_redrawn(monkeypatch, chunk):
+    # Under the frozen chunk rule about 1e-9 of the flights outlast their first chunk of
+    # exponentials; the kernel takes those rows' n_plus and S from the reference summary,
+    # whose draw takes _draw's while branch. A smaller rule, which _draw and the kernel
+    # share, makes them common: in every row, or in some rows of each block of 5. Every
+    # statistic keeps the reference summary's bits.
+    cfg, redrawn = _force_rare_rows(monkeypatch, chunk)
+    n_plus, s = montecarlo._run_range(cfg, 0, 0, 2, 17)
     if chunk(1.0, 40.0) == 1:
         assert len(redrawn) == 15
     else:
         assert 0 < len(redrawn) < 15
+    assert len(n_plus) == len(s) == 15
     for rep in range(2, 17):
+        want = montecarlo._reference_summary(cfg, 0, 0, rep)
+        assert n_plus[rep - 2] == want.n_plus, rep
+        assert (np.float64(s[rep - 2]).tobytes()
+                == np.float64(want.sum_sqrt_u_turned).tobytes()), rep
+
+
+# At lambda = 2, n = 200, T = 500 every stride turns in about a quarter of the replications,
+# so the indicator saturates (+inf) there.
+@pytest.mark.parametrize("setup, saturates", [
+    (lambda mp: ExperimentConfig(lambda_grid=(2.0,), n_grid=(200,), horizon=500.0, reps=12,
+                                 master_seed=3), True),
+    (lambda mp: _force_rare_rows(mp, lambda rate, horizon: 1)[0], False),
+    (lambda mp: _force_rare_rows(mp, lambda rate, horizon: int(rate * horizon))[0], False),
+], ids=["saturating", "rare every row", "rare some rows"])
+def test_experiment_values_equal_run_replication(monkeypatch, setup, saturates):
+    # run_experiment applies the registry's closed forms to the kernel's n_plus and S: every
+    # value keeps run_replication's bits, NaN for a failed estimate and inf for a saturated.
+    cfg = setup(monkeypatch)
+    values = run_experiment(cfg, workers=1).values
+    for rep in range(cfg.reps):
         estimates = run_replication(cfg, 0, 0, rep).estimates
         for name in cfg.estimators:
             est = estimates[name]
             want = np.float64(math.nan if est is None else est.value)
-            assert got[name][rep - 2].tobytes() == want.tobytes(), (name, rep)
+            assert values[(0, 0, name)][rep].tobytes() == want.tobytes(), (name, rep)
+    assert np.isinf(values[(0, 0, "dot")]).any() == saturates
 
 
 def test_block_memory_follows_events(monkeypatch):

@@ -26,7 +26,6 @@ from pflight import (
     position_at,
     pseudo_mle,
     run_experiment,
-    run_replication,
     sample_at_grid,
     score,
     simulate_trajectory,
@@ -293,19 +292,19 @@ def block_ranges(draw):
 @example((SATURATING, 5, 3, 11))
 def test_block_kernel_equals_run_replication(cell):
     # B replications per block, for any B from 1 to reps, over any range of a cell: every
-    # value keeps the reference path's bits, NaN for failed and inf for saturated, also in
-    # blocks that reuse the call's buffers after a mid-cell start.
+    # replication's n_plus and S keep the reference summary's bits, also in blocks that
+    # reuse the call's buffers after a mid-cell start.
     cfg, block, start, stop = cell
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_BLOCK_STRIDES",
                    block * (cfg.n_grid[0] + montecarlo._chunk(cfg.lambda_grid[0], cfg.horizon)))
-        got = montecarlo._run_range(cfg, 0, 0, start, stop)
+        n_plus, s = montecarlo._run_range(cfg, 0, 0, start, stop)
+    assert len(n_plus) == len(s) == stop - start
     for rep in range(start, stop):
-        estimates = run_replication(cfg, 0, 0, rep).estimates
-        for name in cfg.estimators:
-            est = estimates[name]
-            want = np.float64(math.nan if est is None else est.value)
-            assert got[name][rep - start].tobytes() == want.tobytes(), (name, rep)
+        want = montecarlo._reference_summary(cfg, 0, 0, rep)
+        assert n_plus[rep - start] == want.n_plus, rep
+        assert (np.float64(s[rep - start]).tobytes()
+                == np.float64(want.sum_sqrt_u_turned).tobytes()), rep
 
 
 def _outcome(cfg, workers):
