@@ -68,6 +68,15 @@ def check_epsilon(epsilon: float) -> float:
     return float(epsilon)
 
 
+def _turn_tolerance(epsilon: float, speed: float, delta: float) -> float:
+    """epsilon*(speed*delta)^2, which must be a normal double to tell a turn from rounding."""
+    tol = epsilon * (speed * delta) ** 2
+    if not tol >= 2.0**-1022:
+        raise ParameterError(f"the turn tolerance epsilon*(speed*delta)^2 = {tol:.6g} is below "
+                             "2^-1022; raise speed*delta or epsilon")
+    return tol
+
+
 @dataclass(frozen=True)
 class IncrementSummary:
     """Sufficient statistics of one equidistant observation record."""
@@ -94,10 +103,13 @@ class IncrementSummary:
                    sum_sqrt_u_turned=s)
 
 
-def _classify(u_raw: np.ndarray, delta: float, speed: float,
-              epsilon: float) -> tuple[np.ndarray, list[int], list[float]]:
-    """Each row's turned strides (slack > epsilon*(speed*delta)^2), and its n_plus and S."""
-    tol = epsilon * (speed * delta) ** 2
+def _classify(u_raw: np.ndarray, delta: float, speed: float, epsilon: float,
+              starts: np.ndarray | None = None) -> tuple[np.ndarray, list[int], list[float]]:
+    """Each row's turned strides (slack > epsilon*(speed*delta)^2), and its n_plus and S.
+
+    ``u_raw`` is (rows, n); or 1-d, row r's slacks u_raw[starts[r]:starts[r + 1]], with
+    starts[0] = 0 and starts[-1] >= u_raw.size."""
+    tol = _turn_tolerance(epsilon, speed, delta)
     # Written so that a NaN slack (a non-finite position) fails the test.
     if not np.all(u_raw >= -tol):
         worst = float(u_raw.min())
@@ -105,14 +117,15 @@ def _classify(u_raw: np.ndarray, delta: float, speed: float,
             f"slack {worst:.17g} is non-finite or below -epsilon*(speed*delta)^2 = "
             f"{-tol:.17g}; an increment is non-finite or longer than one stride")
     turned = u_raw > tol
-    counts = turned.sum(axis=1)
-    roots = u_raw[turned]
+    at = np.flatnonzero(turned)
+    roots = u_raw.take(at)
     np.sqrt(roots, out=roots)
+    if starts is None:
+        starts = np.arange(0, u_raw.size + 1, u_raw.shape[1])
+    bounds = at.searchsorted(starts)
+    n_plus, bounds = np.diff(bounds).tolist(), bounds.tolist()
     # One sum per row keeps np.sum's pairwise order; a masked row-wise sum does not.
-    n_plus = counts.tolist()
-    ends = np.add.accumulate(counts).tolist()
-    return turned, n_plus, [float(np.add.reduce(roots[end - m:end]))
-                            for end, m in zip(ends, n_plus)]
+    return turned, n_plus, [float(np.add.reduce(roots[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def summarize_increments(sample: DiscreteSample,

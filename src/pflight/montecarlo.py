@@ -16,18 +16,18 @@ count. A share reseeds one generator per replication with states derived
 for a chunk of replications at once, bit-identical to ``SeedSpec.generator``.
 
 A cell's replications run in blocks of about ``_BLOCK_STRIDES`` columns,
-strides plus drawn events, evaluated as 2-d arrays. The kernel returns only
-each replication's ``n_plus`` and ``S``, with the bits of
-``run_replication``'s summary, and ``run_experiment`` applies each
-estimator's closed form from the registry to a cell's statistics. Each
-replication fills one row of the block's exponentials and uniforms from its
-own stream, and every later step is one pass over the block: event times,
-knots, headings, the x and y planes of the positions and the stride slacks. A
-replication whose flight outlasts its first chunk of exponentials, about 1e-9
-of them, takes its statistics from the reference summary. A block observes
-its flights through ``simulate._grid_positions``, which ``sample_at_grid``
-calls with one row: each grid time's segment comes from arithmetic on the
-equidistant grid, not a search, in time linear in strides plus events.
+strides plus drawn events, evaluated as 2-d arrays. Each replication fills one
+row of the block's exponentials and uniforms from its own stream; a flight that
+outlasts its first chunk of exponentials, about 1e-9 of them, takes its
+statistics from the reference summary. The kernel returns each replication's
+``n_plus`` and ``S`` with the bits of ``run_replication``'s summary, and
+``run_experiment`` applies the registry's closed forms to them. Positions come
+from ``sample_at_grid``'s formula, and only at the two ends of each stride that
+holds an event (``simulate._grid_counts``): a stride without one is straight,
+so its slack is rounding alone, which ``simulate._straight_slack_bound`` bounds
+per row. A row skips those strides only where that bound is below
+min(epsilon, 2e-9) / 2, so that none could read as turned or too long; any other
+row evaluates every stride.
 
 Failed replications (an estimator raising ``NumericalError``) and
 saturated indicator estimates are excluded from the moments and counted in
@@ -53,14 +53,16 @@ from .estimators import (
     Estimate,
     IncrementSummary,
     _classify,
+    _turn_tolerance,
     check_epsilon,
     estimator_name,
     summarize_increments,
 )
 from .seeding import SeedSpec, _replication_generators, replication_stream
 from .simulate import (FlightParams, _check_event_count, _check_n, _check_steps, _check_stride,
-                       _chunk, _flight_block, _grid, _grid_positions, _stride_slack,
-                       sample_at_grid, simulate_trajectory)
+                       _chunk, _flight_block, _grid, _grid_counts, _positions,
+                       _straight_slack_bound, _stride_slack, _unit_paths, sample_at_grid,
+                       simulate_trajectory)
 
 __all__ = [
     "ExperimentConfig",
@@ -115,7 +117,8 @@ class ExperimentConfig:
             object.__setattr__(self, field, value)
         _check_event_count(max(lams), self.horizon)
         _check_stride(self.speed, self.horizon / min(ns))  # the cell with the longest stride
-        require_positive("delta", self.horizon / max(ns))  # the cell with the shortest stride
+        # The cell with the shortest stride: a positive delta and a normal turn tolerance.
+        _turn_tolerance(self.epsilon, self.speed, require_positive("delta", self.horizon / max(ns)))
 
 
 @dataclass(frozen=True)
@@ -189,11 +192,18 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
     rate, n = config.lambda_grid[lambda_index], config.n_grid[n_index]
     horizon, speed = config.horizon, config.speed
     delta, chunk = horizon / n, _chunk(rate, horizon)
+    # A row skips its strides without an event where twice their bound is inside the turn
+    # tolerance and the (1 + 1e-9) step check; with the bound for any flight, every row does.
+    limit = min(config.epsilon, 2e-9) / 2.0
+    all_admitted = _straight_slack_bound(n, delta, horizon) < limit
     n_plus, s = [], []
     size = max(1, min(stop - start, _BLOCK_STRIDES // (n + chunk)))
-    # Built once for all blocks: at n = 200,000, planes per block took 2.4 to 3 times the
-    # page faults, and draw arrays per block 1.8 times.
-    grid, planes = _grid(horizon, n), np.empty((2, size, n + 1))
+    # Built once for all blocks: at n = 200,000, draw arrays per block took 1.8 times the
+    # page faults. The grid repeats once per row, so that the ends' times are one take.
+    grid, row_starts = np.tile(_grid(horizon, n), size), np.arange(size + 1) * (n + 1)
+    # A difference across skipped strides is zeroed before it is squared where it could
+    # overflow: |dx| <= 2 c T.
+    zero_gaps_first = speed * horizon >= 1e153
     gaps, uniforms = np.empty((size, chunk)), np.empty((size, chunk))
     rngs = _replication_generators(config.master_seed, lambda_index, n_index, start, stop)
     for first in range(start, stop, size):
@@ -202,11 +212,42 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
             rng = next(rngs)
             rng.standard_exponential(out=gaps[row], method="inv")
             rng.random(out=uniforms[row])
-        *flights, rare = _flight_block(gaps[:rows], uniforms[:rows], rate, horizon)
-        x, y = _grid_positions(speed, grid, *flights, planes[:, :rows])
-        slack = _stride_slack(x, y, speed, delta)
+        knots, headings, counts, rare = _flight_block(gaps[:rows], uniforms[:rows], rate,
+                                                      horizon)
+        # right[r, i]: stride i is evaluated; ends: the times of its ends, and every row's 0.
+        cells = _grid_counts(grid[:n + 1], knots, counts)
+        # With every row admitted, each coordinate's trig and prefix sums are made as the
+        # positions take them, while they are in cache.
+        right, paths = cells > 0, _unit_paths(knots, headings)
+        if not all_admitted:
+            paths = list(paths)
+            right[_straight_slack_bound(n, delta, horizon, knots, paths) >= limit, 1:] = True
+        ends = right.copy()
+        ends[:, :-1] |= right[:, 1:]
+        ends[:, 0] = True
+        at = np.flatnonzero(ends)
+        # A difference of consecutive ends that is no stride gets slack 0. Row r's differences
+        # are those from its time 0 to row r + 1's, each row's last one of them such a gap.
+        keep = right.take(at[1:]).astype(np.float64)
+        # Every event's cell is an end, so a running sum over the ends counts a row's events;
+        # column 0 takes it from row r - 1's offset plus events to row r's offset, r * w.
+        cells[1:, 0] = knots.shape[1] - counts[:-1]
+        k = cells.take(at)
+        # Freed before the positions: kept to the end of the block, they raised the peak RSS at
+        # (2, 200,000) by 1.5 to 4 MB, and the minor faults with it.
+        del cells, ends, right
+        x, y = _positions(speed, knots, paths, grid.take(at), np.cumsum(k, out=k),
+                          np.empty((2, at.size)))
+        del paths, k
+        dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
+        if zero_gaps_first:
+            dx *= keep
+            dy *= keep
+        slack = _stride_slack(dx, dy, speed, delta)
+        slack *= keep
         _check_steps(slack, speed, delta)
-        _, block_n_plus, block_s = _classify(slack, delta, speed, config.epsilon)
+        _, block_n_plus, block_s = _classify(slack, delta, speed, config.epsilon,
+                                             at.searchsorted(row_starts[:rows + 1]))
         for row in rare:
             summary = _reference_summary(config, lambda_index, n_index, first + row)
             block_n_plus[row], block_s[row] = summary.n_plus, summary.sum_sqrt_u_turned

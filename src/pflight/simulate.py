@@ -108,10 +108,9 @@ def _check_stride(speed: float, delta: float) -> None:
         raise ParameterError(f"speed*delta = {speed * delta:.17g} must be below 1e154 to square")
 
 
-def _stride_slack(x: np.ndarray, y: np.ndarray, speed: float, delta: float) -> np.ndarray:
-    """Each stride's (speed*delta)^2 - |P_i - P_{i-1}|^2, for float64 coordinates x, y (..., n+1)."""
+def _stride_slack(dx: np.ndarray, dy: np.ndarray, speed: float, delta: float) -> np.ndarray:
+    """Each stride's (speed*delta)^2 - (dx^2 + dy^2), for float64 steps dx, dy, in place in dx."""
     _check_stride(speed, delta)
-    dx, dy = x[..., 1:] - x[..., :-1], y[..., 1:] - y[..., :-1]
     dx *= dx
     dx += np.square(dy, out=dy)
     return np.subtract((speed * delta) ** 2, dx, out=dx)
@@ -121,7 +120,7 @@ def _record_slack(pos: np.ndarray, speed: float, delta: float) -> np.ndarray:
     """The stride slacks of one record, whose positions must have shape (n+1, 2)."""
     if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
         raise ParameterError(f"positions must have shape (n+1, 2) with n >= 1, got {pos.shape}")
-    return _stride_slack(pos[:, 0], pos[:, 1], speed, delta)
+    return _stride_slack(np.diff(pos[:, 0]), np.diff(pos[:, 1]), speed, delta)
 
 
 def _check_steps(slack: np.ndarray, speed: float, delta: float) -> None:
@@ -270,7 +269,10 @@ def _grid_counts(grid: np.ndarray, knots: np.ndarray, counts: np.ndarray) -> np.
     (grid[n] = horizon) and n below 2**51 (``_check_n``), rint(e / (horizon/n)) is that j or
     j - 1, so one comparison with grid[j] makes it exact, also for an event on a grid time or
     one ulp from one. Padding lands in cell n and is taken off there. Column 0 counts nothing;
-    the cumulative sum along a row is each grid time's segment.
+    the cumulative sum along a row is each grid time's segment. ``sample_at_grid`` takes
+    positions at every grid time; the Monte Carlo kernel only at both ends of a positive cell
+    in a row whose ``_straight_slack_bound`` is below min(epsilon, 2e-9) / 2, and at every
+    grid time of any other row.
     """
     rows, n = knots.shape[0], grid.size - 1
     events = knots[:, 1:]
@@ -283,44 +285,74 @@ def _grid_counts(grid: np.ndarray, knots: np.ndarray, counts: np.ndarray) -> np.
     return k
 
 
-def _positions(speed: float, knots: np.ndarray, headings: np.ndarray, times: np.ndarray,
-               k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (2, rows, m), x then y, with positions relative to the origin at ``times``.
-
-    ``times`` is (m,) or (rows, m). ``knots`` and ``headings`` (rows, w) are as
-    ``_flight_block`` returns them. ``k`` (rows, m) is row r's flat offset r * w plus the
-    number of the row's events at or before each time: the segment holding it. With rem the
-    time since the segment started, a coordinate is c * (cum[k] + rem * trig[k]), cum being
-    the prefix sum of unit displacements. Padded segments have length 0, so no row's prefix
-    sums change, and k never reaches them. Callers add the origin after this, the last
-    operation.
-    """
-    rows, width = knots.shape
-    x, y = out
-    rem = knots.take(k)
-    np.subtract(times, rem, out=rem)
+def _unit_paths(knots: np.ndarray, headings: np.ndarray):
+    """Per coordinate, x then y, (trig, cum) (rows, w): cos or sin of the headings, and cum the
+    prefix sums of unit displacements, for ``knots`` and ``headings`` as ``_flight_block``
+    returns them. Padded segments have length 0, so no row's prefix sums change. A generator:
+    a caller that takes one coordinate at a time holds one pair at a time."""
     seg_dt = knots[:, 1:] - knots[:, :-1]
-    # cum[k] goes into an array that is free by then: y before y is filled, rem after its use.
-    for trig_of, v, spare in ((np.cos, x, y), (np.sin, y, rem)):
+    for trig_of in (np.cos, np.sin):
         trig = trig_of(headings)
-        cum = np.empty((rows, width))
+        cum = np.empty(trig.shape)
         cum[:, 0] = 0.0
         np.add.accumulate(np.multiply(seg_dt, trig[:, :-1], out=cum[:, 1:]), axis=1,
                           out=cum[:, 1:])
+        yield trig, cum
+
+
+def _positions(speed: float, knots: np.ndarray, paths, times: np.ndarray, k: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (2, *k.shape), x then y, with positions relative to the origin at ``times``.
+
+    ``times`` broadcasts to ``k``'s shape: grid times, at every one (``sample_at_grid``) or at
+    the ends of the strides the Monte Carlo kernel evaluates (every stride with an event, and
+    all strides of a row not admitted by ``_straight_slack_bound``). ``paths`` is
+    ``_unit_paths(knots, headings)``; ``k`` is row r's flat offset r * w plus the number of the
+    row's events at or before each time: the segment holding it. With rem the time since the
+    segment started, a coordinate is c * (cum[k] + rem * trig[k]). Callers add the origin
+    after this, the last operation.
+    """
+    x, y = out
+    rem = knots.take(k)
+    np.subtract(times, rem, out=rem)
+    paths = iter(paths)
+    # cum[k] goes into an array that is free by then: y before y is filled, rem after its use.
+    for v, spare in ((x, y), (y, rem)):
+        trig, cum = next(paths)
         trig.take(k, out=v, mode="clip")  # k is in range; "clip" fills out unbuffered
         v *= rem
         v += cum.take(k, out=spare, mode="clip")
         v *= speed
+        # Dropped before a generator makes the next pair, which then reuses their memory while
+        # it is in cache: held, the positions took 8% longer at (1.5, 300).
+        del trig, cum
     return out
 
 
-def _grid_positions(speed: float, grid: np.ndarray, knots: np.ndarray, headings: np.ndarray,
-                    counts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``_positions`` on ``grid`` = ``_grid(horizon, n)``, with segments from ``_grid_counts``."""
-    k = _grid_counts(grid, knots, counts)
-    rows, width = knots.shape
-    k[:, 0] = np.arange(0, rows * width, width)  # row offsets, which the running sum carries
-    return _positions(speed, knots, headings, grid, np.cumsum(k, axis=1, out=k), out)
+def _straight_slack_bound(n: int, delta: float, horizon: float, knots: np.ndarray | None = None,
+                          paths=None) -> np.ndarray | float:
+    """An upper bound on |slack| / (c*delta)^2 of a stride without an event, as ``_positions``
+    and ``_stride_slack`` compute it on ``_grid(horizon, n)`` from the origin: per row of a
+    block (``knots``; ``paths`` from ``_unit_paths``), or for any flight. The stride's ends
+    share segment k, so cum[k] and trig[k] cancel; with u = 2^-53, the terms are:
+    - grid[j] = fl(j * delta) and grid[n] = horizon: a stride within 2 u n delta of delta, 4 u n;
+    - the rem, product, sum and scale roundings move an end by at most u c (2 |cum[k]| + 4 rem)
+      per coordinate, |cum_x[k]| + |cum_y[k]| <= M, the row's largest |cum_x| plus largest
+      |cum_y| (2 horizon for any flight), and rem <= L, its longest segment, the last included
+      (horizon): 8 u (M + 2 L) / delta;
+    - trig_x^2 + trig_y^2 within 16 u of 1 (np.cos and np.sin within 4 ulp), the difference,
+      the squares, their sum and (c*delta)^2: 32 u;
+    - a subnormal time, product or sum errs by up to 2^-1075 instead: 2^-1070 / delta.
+    Below 1e-6, products of terms add under 1e-6 of the bound. ``estimators._turn_tolerance``
+    keeps (c*delta)^2 normal, so that an underflowing square errs by under 1e-300 of it.
+    """
+    farthest, longest = 2.0 * horizon, horizon
+    if knots is not None:
+        farthest = sum(np.abs(cum).max(axis=1) for _, cum in paths)
+        longest = np.maximum((knots[:, 1:] - knots[:, :-1]).max(axis=1, initial=0.0),
+                             horizon - knots[:, -1])
+    return 2.0**-53 * (4.0 * n + 8.0 * (farthest + 2.0 * longest) / delta + 32.0) \
+        + 2.0**-1070 / delta
 
 
 def _with_origin(planes: np.ndarray, origin: tuple[float, float]) -> np.ndarray:
@@ -332,7 +364,7 @@ def _trajectory_positions(traj: Trajectory, times: np.ndarray) -> np.ndarray:
     """Positions (times.size, 2) of one trajectory at 1-d ``times`` in [0, horizon], any order."""
     knots, headings, _ = _flight_arrays(traj)
     k = traj.event_times.searchsorted(times, side="right")
-    planes = _positions(traj.params.speed, knots, headings, times, k[None],
+    planes = _positions(traj.params.speed, knots, _unit_paths(knots, headings), times, k[None],
                         np.empty((2, 1, times.size)))
     return _with_origin(planes[:, 0], traj.params.origin)
 
@@ -340,12 +372,15 @@ def _trajectory_positions(traj: Trajectory, times: np.ndarray) -> np.ndarray:
 def sample_at_grid(traj: Trajectory, n: int) -> DiscreteSample:
     """Observe the trajectory at times i * horizon / n for i = 0..n.
 
-    One vectorized pass over the grid, with no search (``_grid_positions``); equal to
-    ``position_at`` at every grid point, bit for bit. n is at most 1e9.
+    One vectorized pass over the grid, with segments from ``_grid_counts``, not a search; equal
+    to ``position_at`` at every grid point, bit for bit. n is at most 1e9.
     """
     n = _check_n(n)
-    planes = _grid_positions(traj.params.speed, _grid(traj.horizon, n), *_flight_arrays(traj),
-                             np.empty((2, 1, n + 1)))
+    grid, (knots, headings, counts) = _grid(traj.horizon, n), _flight_arrays(traj)
+    k = _grid_counts(grid, knots, counts)  # one row, whose flat offset is 0
+    planes = _positions(traj.params.speed, knots, _unit_paths(knots, headings), grid,
+                        np.cumsum(k, axis=1, out=k), np.empty((2, 1, n + 1)))
+    del grid, k  # freed before the sample's positions and slacks
     return DiscreteSample(params=traj.params, delta=traj.horizon / n,
                           positions=_with_origin(planes[:, 0], traj.params.origin))
 

@@ -193,6 +193,28 @@ class TestEstimate:
         else:
             assert {line.split(",")[5] for line in out.strip().split("\n")[1:]} == {"1"}
 
+    @pytest.mark.parametrize("speed", ["1e-155", "1e-165", "1e-170"])
+    def test_underflowing_tolerance_exits_2(self, capsys, tmp_path, speed):
+        # At delta = 0.5 the tolerance epsilon * (c * delta)^2 is subnormal at c = 1e-155 and
+        # 0 at 1e-165 and 1e-170, where every slack rounded to 0 and pseudo_mle read 0 with
+        # n_plus 0. The same flight at c = 1 gives n_plus 7.
+        path = tmp_path / "record.csv"
+
+        def estimate(c):
+            code, _, err = run_cli(capsys, ["simulate", "--lambda", "1", "--c", c, "--T", "10",
+                                            "--n", "20", "--seed", "1", "--out", str(path)])
+            assert code == 0, err
+            return run_cli(capsys, ["estimate", "--in", str(path), "--c", c])
+
+        code, out, _ = estimate("1")
+        assert code == 0
+        assert {line.split(",")[5] for line in out.strip().split("\n")[1:]} == {"7"}
+        code, out, err = estimate(speed)
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["error"] == "ParameterError"
+        assert "turn tolerance" in record["message"]
+
 
 class TestDensity:
     def test_rows_match_library(self, capsys):
@@ -425,6 +447,17 @@ class TestMonteCarloCommand:
         record = json.loads(err)
         assert record["error"] == "ParameterError"
         assert record["message"] == "delta must be finite and > 0, got 0.0"
+
+    def test_underflowing_tolerance_exits_2(self, capsys, tmp_path):
+        # At c = 1e-170 and delta = 2.5, epsilon * (c * delta)^2 rounds to 0, and every cell
+        # read pseudo_mle 0 with bias -1: rejected with the config.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(self.CONFIG, c=1e-170)))
+        code, out, err = run_cli(capsys, ["mc", "--config", str(path)])
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["error"] == "ParameterError"
+        assert "turn tolerance" in record["message"]
 
     def test_huge_n_exits_2(self, capsys, tmp_path, monkeypatch):
         # n = 1e12 would ask for a 7.28 TiB positions buffer: rejected with the config.

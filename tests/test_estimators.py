@@ -80,6 +80,15 @@ class TestIncrementSummary:
                 epsilon=1e-9,
             )
 
+    def test_underflowing_tolerance_rejected(self):
+        # epsilon * (c * delta)^2 must be a normal double. At c = 2^-540 it is about 2^-1110,
+        # below 2^-1022, so a rounding error could read as a turn; at c = 2^-480 it is about
+        # 2^-990, and the hand record, scaled by a power of two, keeps its classification.
+        with pytest.raises(ParameterError, match="turn tolerance"):
+            IncrementSummary.from_positions(HAND_POSITIONS * 2.0**-540, 1.0, 2.0**-540)
+        summary = IncrementSummary.from_positions(HAND_POSITIONS * 2.0**-480, 1.0, 2.0**-480)
+        assert summary.n_plus == hand_summary().n_plus
+
     def test_positions_edited_after_construction_are_checked(self):
         # The summary reads the sample's positions as they are now, so a stride
         # stretched to about 50 * c * delta after the step check is still rejected.

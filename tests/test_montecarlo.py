@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo experiment driver."""
 
 import concurrent.futures
+import dataclasses
 import math
 import os
 import subprocess
@@ -344,6 +345,54 @@ def test_experiment_values_equal_run_replication(monkeypatch, setup, saturates):
             want = np.float64(math.nan if est is None else est.value)
             assert values[(0, 0, name)][rep].tobytes() == want.tobytes(), (name, rep)
     assert np.isinf(values[(0, 0, "dot")]).any() == saturates
+
+
+def _statistics_or_error(run):
+    """n_plus and the bits of S from run(), or its error's type and message."""
+    try:
+        n_plus, s = run()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return n_plus, np.float64(s).tobytes()
+
+
+@pytest.mark.parametrize("edge", [False, True], ids=["epsilon 1e-16", "edge of the bound"])
+def test_rows_outside_the_bound_evaluate_every_stride(edge):
+    # A row skips its strides without an event only where twice its bound is below epsilon.
+    # At epsilon = 1e-16 no row is admitted, and every replication's reference summary
+    # raises with the smallest slack in its message. At the edge, epsilon is twice the median
+    # bound, so one block holds admitted rows and rows that evaluate every stride. Each
+    # replication, alone and in that block, keeps the reference's n_plus and S, or raises
+    # the reference's error with its message.
+    cfg = ExperimentConfig(lambda_grid=(1.0,), n_grid=(200,), horizon=200.0, reps=12,
+                           master_seed=17, epsilon=1e-16)
+    bounds = []
+    for rep in range(cfg.reps):
+        seed = pflight.SeedSpec(cfg.master_seed, pflight.replication_stream(0, 0, rep))
+        traj = pflight.simulate_trajectory(pflight.FlightParams(rate=1.0, speed=1.0), 200.0,
+                                           seed)
+        knots, headings, _ = simulate._flight_arrays(traj)
+        bounds += list(simulate._straight_slack_bound(200, 1.0, 200.0, knots,
+                                                      simulate._unit_paths(knots, headings)))
+    if edge:
+        cfg = dataclasses.replace(cfg, epsilon=2.0 * float(np.median(bounds)))
+    limit = cfg.epsilon / 2.0
+    assert (min(bounds) < limit <= max(bounds)) if edge else (min(bounds) >= limit)
+
+    def reference(rep):
+        summary = montecarlo._reference_summary(cfg, 0, 0, rep)
+        return summary.n_plus, summary.sum_sqrt_u_turned
+
+    def alone(rep):
+        (n_plus,), (s,) = montecarlo._run_range(cfg, 0, 0, rep, rep + 1)
+        return n_plus, s
+
+    want = [_statistics_or_error(lambda: reference(rep)) for rep in range(cfg.reps)]
+    assert [_statistics_or_error(lambda: alone(rep)) for rep in range(cfg.reps)] == want
+    assert all(isinstance(n_plus, int) for n_plus, _ in want) == edge
+    if edge:
+        n_plus, s = montecarlo._run_range(cfg, 0, 0, 0, cfg.reps)
+        assert [(k, np.float64(v).tobytes()) for k, v in zip(n_plus, s)] == want
 
 
 def test_block_memory_follows_events(monkeypatch):

@@ -34,7 +34,8 @@ from pflight import (
 from pflight import montecarlo
 from pflight.io import (fmt_json, fmt_raw, positions_csv_lines, read_positions_csv,
                         read_sample_ndjson, sample_ndjson_line, summary_csv_lines)
-from pflight.simulate import Trajectory, _grid_counts, ground_truth_counts
+from pflight.simulate import (Trajectory, _flight_arrays, _grid_counts, _record_slack,
+                              _straight_slack_bound, _unit_paths, ground_truth_counts)
 
 ESTIMATORS = (pseudo_mle, modified_mle, indicator_estimate)
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -217,6 +218,58 @@ def test_grid_index_equals_searchsorted(block):
         assert ground_truth_counts(traj, n).tolist() == want.tolist()
 
 
+def _check_straight_slack_bound(traj, n):
+    """Every stride of the record without an event, on the full path, has |slack| within the
+    kernel's bound for its flight, and that bound within the one for any flight."""
+    sample = sample_at_grid(traj, n)
+    c, delta = traj.params.speed, sample.delta
+    slack = _record_slack(sample.positions, c, delta)
+    knots, headings, _ = _flight_arrays(traj)
+    (bound,) = _straight_slack_bound(n, delta, traj.horizon, knots, _unit_paths(knots, headings))
+    assert bound <= _straight_slack_bound(n, delta, traj.horizon)
+    straight = ground_truth_counts(traj, n) == 0
+    assert np.all(np.abs(slack[straight]) <= bound * (c * delta) ** 2)
+
+
+@st.composite
+def long_flights(draw):
+    """A flight from the Monte Carlo origin, lambda from 1e-6, on up to 3,000 strides."""
+    rate = draw(st.sampled_from((1e-6, 1e-4, 1e-2)) | st.floats(0.05, 3.0))
+    n, delta = draw(st.integers(1, 3000)), draw(st.floats(0.05, 3.0))
+    params = FlightParams(rate=rate, speed=draw(st.floats(0.5, 4.0)))
+    return simulate_trajectory(params, n * delta, SeedSpec(draw(st.integers(0, 2**32 - 1)))), n
+
+
+def _flight(rate, speed, horizon, seed):
+    return simulate_trajectory(FlightParams(rate=rate, speed=speed), horizon, SeedSpec(seed))
+
+
+# The mc-long cells at delta = 0.1, where the grid term dominates (the largest |slack| read
+# about half the bound), and long straight records, where the position terms do.
+@PROPERTY
+@given(long_flights())
+@example((_flight(0.5, 1.0, 20_000.0, 1), 200_000))
+@example((_flight(2.0, 1.0, 20_000.0, 2), 200_000))
+@example((_flight(1e-6, 3.0, 2e6 / 3.0, 3), 1_000_000))
+@example((_flight(3e-6, 1.0, 7e5, 2), 1_000_000))
+def test_straight_strides_stay_within_the_kernel_bound(flight):
+    _check_straight_slack_bound(*flight)
+
+
+@PROPERTY
+@given(event_blocks(max_rows=1), st.floats(0.5, 4.0), st.integers(0, 2**32 - 1))
+@example(_on_grid(500.0 / 3.0, 300, 0), 1.0, 1)
+@example(_on_grid(1e6, 299, 1), 3.0, 2)
+@example(_on_grid(1e-3, 300, -1), 0.5, 3)
+def test_straight_strides_within_the_bound_with_events_on_grid_times(block, speed, seed):
+    # An event on a grid time ends a stride with an event and starts a straight one at
+    # rem = 0; one ulp either side of it moves it to the neighbouring stride.
+    horizon, n, (events,) = block
+    headings = 2.0 * math.pi * (1.0 - np.random.default_rng(seed).random(events.size + 1))
+    _check_straight_slack_bound(
+        Trajectory(FlightParams(rate=1.0, speed=speed), horizon, events, headings), n)
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -273,7 +326,9 @@ def cells(draw, max_reps=12):
 
 
 # At lambda = 2, n = 200, T = 500 every stride turns in about a quarter of
-# the replications, so the indicator saturates there.
+# the replications, so the indicator saturates there. Further examples below: n = 1; a
+# dense cell, lambda * delta = 6; and c * T = 5e155, where the skipped strides of a
+# straight flight span differences whose squares would overflow.
 SATURATING = ExperimentConfig(lambda_grid=(2.0,), n_grid=(200,), horizon=500.0, reps=12,
                               master_seed=3)
 
@@ -290,6 +345,12 @@ def block_ranges(draw):
 @given(block_ranges())
 @example((SATURATING, 5, 0, 12))
 @example((SATURATING, 5, 3, 11))
+@example((ExperimentConfig(lambda_grid=(0.7,), n_grid=(1,), horizon=3.0, reps=6,
+                           master_seed=5), 4, 1, 6))
+@example((ExperimentConfig(lambda_grid=(3.0,), n_grid=(50,), horizon=100.0, reps=8,
+                           master_seed=11, speed=2.5), 3, 0, 8))
+@example((ExperimentConfig(lambda_grid=(1e-3,), n_grid=(100,), horizon=1e4, reps=3,
+                           master_seed=2, speed=5e151), 2, 0, 3))
 def test_block_kernel_equals_run_replication(cell):
     # B replications per block, for any B from 1 to reps, over any range of a cell: every
     # replication's n_plus and S keep the reference summary's bits, also in blocks that
