@@ -8,9 +8,12 @@ tables that grow with a record, are written ``_ROWS`` rows at a time: one
 ``csv_lines`` formats every other (small) table a cell at a time: floats
 through its ``fmt``, bools as ``true``/``false``, ints and strings through
 ``str``; Monte Carlo summary tables use 6 significant digits. The positions
-reader parses ``_ROWS`` lines at a time with ``int`` and ``float``, so it
-accepts exactly what they accept. JSON has no representation for
-non-finite floats, so a saturated or failed estimate serializes as
+reader hands ``_ROWS`` lines at a time to numpy's text reader, which parses
+each float with the same C routine as ``float``; a block that numpy declines
+(underscores, non-ASCII digits, any bad field) is parsed line by line with
+``int`` and ``float``. Either way the reader accepts exactly what ``int``
+and ``float`` accept, with the values they give. JSON has no representation
+for non-finite floats, so a saturated or failed estimate serializes as
 ``null`` plus a boolean flag.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -38,6 +41,9 @@ FISHER_HEADER = "lambda,delta,n,per_obs,idealized,total,full_per_obs"
 RAW_SPEC = ".17g"
 # Rows of a position table per block of text, written or read.
 _ROWS = 4096
+# One row of a position table as numpy's text reader parses it.
+_POSITION_ROW = np.dtype([("i", np.int64), ("t", np.float64), ("x", np.float64),
+                          ("y", np.float64)])
 
 
 def fmt_raw(x: float) -> str:
@@ -146,15 +152,17 @@ def _parse_block(raw: list[str], first: int, lineno: int) -> np.ndarray:
     lines = list(filter(None, map(str.strip, raw)))
     if not lines:
         return np.empty((0, 3))
-    if set(map(str.count, lines, repeat(","))) <= {3}:
-        fields = ",".join(lines).split(",")
-        try:
-            if list(map(int, fields[0::4])) == list(range(first, first + len(lines))):
-                del fields[0::4]
-                return np.array(list(map(float, fields))).reshape(-1, 3)
-        except ValueError:
-            pass
-    # Some line is wrong: walk the block again to name the first one.
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=_POSITION_ROW, ndmin=1)
+    except ValueError:
+        pass
+    else:
+        if np.array_equal(rows["i"], np.arange(first, first + len(lines))):
+            # Each row as four float64s, of which the first, the index's bits, is dropped.
+            return rows.view(np.float64).reshape(-1, 4)[:, 1:]
+    # numpy declined the block or its index is off: parse it line by line with int and
+    # float, which accept what numpy does and more, and name the first bad line.
+    values = []
     for lineno, line in enumerate(raw, start=lineno):
         line = line.strip()
         if not line:
@@ -164,13 +172,13 @@ def _parse_block(raw: list[str], first: int, lineno: int) -> np.ndarray:
             raise ParameterError(f"line {lineno}: expected 4 fields, got {len(parts)}")
         try:
             i = int(parts[0])
-            float(parts[1]), float(parts[2]), float(parts[3])
+            values.append((float(parts[1]), float(parts[2]), float(parts[3])))
         except ValueError as exc:
             raise ParameterError(f"line {lineno}: {exc}") from None
         if i != first:
             raise ParameterError(f"line {lineno}: expected index {first}, got {i}")
         first += 1
-    raise AssertionError("unreachable: the block parses line by line")
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +231,16 @@ def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.nd
         raise ParameterError(f"expected a discrete_sample record, got {kind!r}")
     try:
         rows = obj["positions"]
-        # One C-level pass over the coordinates; a bare number among the rows is a TypeError.
-        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        # The coordinates in one flat list, checked and converted by C-level passes; a bare
+        # number among the rows is a TypeError.
+        flat = list(chain.from_iterable(rows))
+        if not set(map(type, flat)) <= {int, float}:
             raise TypeError("positions must be rows of numbers")
-        positions = np.asarray(rows, dtype=np.float64)
+        widths = set(map(len, rows))
+        if len(widths) > 1:
+            raise ValueError(f"positions rows have {sorted(widths)} coordinates")
+        # No rows keep shape (0,), which the n check below reports.
+        positions = np.fromiter(flat, np.float64, len(flat)).reshape(len(rows), *widths)
         meta = delta, n, record_speed = obj["delta"], obj["n"], obj["speed"]
         if not all(type(v) in (int, float) for v in meta):
             raise TypeError(f"delta, n and speed must be numbers, got {meta!r}")
@@ -234,7 +248,7 @@ def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.nd
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # OverflowError: an integer too large for a float64, in delta or a position.
         raise ParameterError(f"malformed discrete_sample record: {exc}") from None
-    if positions.ndim == 0 or n != positions.shape[0] - 1:
+    if n != positions.shape[0] - 1:
         raise ParameterError(
             f"record's n = {n!r} does not match its positions of shape {positions.shape}")
     if speed is not None and record_speed != speed:

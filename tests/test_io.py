@@ -20,6 +20,7 @@ from pflight import (
     sample_at_grid,
     simulate_trajectory,
 )
+from pflight.cli import main
 from pflight.io import (
     DENSITY_HEADER,
     ESTIMATES_HEADER,
@@ -363,6 +364,34 @@ class TestNdjson:
         for n in (sample.n + 1, sample.n - 1):
             with pytest.raises(ParameterError):
                 read_sample_ndjson(io.StringIO(json.dumps(dict(obj, n=n)) + "\n"))
+
+    RECORD = {"type": "discrete_sample", "delta": 1, "n": 1, "speed": 1}
+
+    def test_rejects_ragged_rows(self):
+        # The last holds as many numbers as three rows of two.
+        for rows in ([[0, 0], [1]], [[0], [1, 0]], [[0, 0], []], [[0], [1, 0, 0], [1, 0]]):
+            text = json.dumps(dict(self.RECORD, n=len(rows) - 1, positions=rows))
+            with pytest.raises(ParameterError, match="malformed discrete_sample record"):
+                read_sample_ndjson(io.StringIO(text))
+
+    def test_empty_positions_fail_the_n_check(self):
+        with pytest.raises(ParameterError) as exc:
+            read_sample_ndjson(io.StringIO(json.dumps(dict(self.RECORD, n=0, positions=[]))))
+        assert str(exc.value) == "record's n = 0 does not match its positions of shape (0,)"
+
+    def test_three_coordinates_exit_2_at_the_shape_check(self, capsys, tmp_path):
+        # The reader takes rows of any one width; estimate wants (n+1, 2).
+        rows = [[0, 0, 0], [0.5, 0, 0]]
+        positions, _ = read_sample_ndjson(io.StringIO(json.dumps(dict(self.RECORD,
+                                                                       positions=rows))))
+        assert positions.shape == (2, 3)
+        path = tmp_path / "wide.ndjson"
+        path.write_text(json.dumps(dict(self.RECORD, positions=rows)) + "\n")
+        code = main(["estimate", "--in", str(path), "--c", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["message"] == (
+            "positions must have shape (n+1, 2) with n >= 1, got (2, 3)")
 
 
 class TestEstimateTables:

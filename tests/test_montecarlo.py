@@ -413,15 +413,16 @@ def test_block_memory_follows_events(monkeypatch):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="pins glibc's heap behaviour through Linux fault counts")
 def test_long_record_kernel_keeps_its_heap():
-    # _run_range builds one grid, one pair of draw arrays and one pair of position planes for
-    # all blocks, and _positions writes into the planes. Variants give the same values, but
-    # glibc then trims the heap top after each replication and faults the pages back in
-    # (Linux, glibc, master seeds 1-2 at this shape, fresh interpreters): with draw arrays
-    # per block 329 minor faults per replication, with planes per block 432-526, with a fresh
-    # array inside _positions 1,950-1,964, against 178. The bound catches only the last; the
-    # counts also move with the heap layout (with two more statements in _positions, 170
-    # and 627-738). Counted in a fresh interpreter: inside a long pytest run the heap is
-    # already grown.
+    # At this shape a block holds one replication. _run_range builds the grid and the two
+    # draw arrays once for all blocks; each block allocates its event arrays, the per-stride
+    # counts and flags (freed before the positions), the indices and times of the stride
+    # ends it evaluates, one fresh (2, ends) position array and the slacks. glibc can trim
+    # the heap top after a block and fault the pages back in, so the test counts minor
+    # faults per replication (Linux, glibc, master seed 1, a fresh interpreter: inside a long
+    # pytest run the heap is already grown). Draw arrays per block took 1.8 times the faults.
+    # The count also moves with the heap layout of the import: with the same kernel it read
+    # 164, 276 and 345 after edits to comments only, so the bound of 650 catches a gross
+    # regression, not a small one.
     script = textwrap.dedent("""
         import resource
         from pflight.montecarlo import ExperimentConfig, _run_range

@@ -8,6 +8,8 @@ examples every time.
 
 import io
 import math
+from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from pflight import (
     vertex_positions,
 )
 from pflight import montecarlo
-from pflight.io import (fmt_json, fmt_raw, positions_csv_lines, read_positions_csv,
+from pflight.io import (_ROWS, fmt_json, fmt_raw, positions_csv_lines, read_positions_csv,
                         read_sample_ndjson, sample_ndjson_line, summary_csv_lines)
 from pflight.simulate import (Trajectory, _flight_arrays, _grid_counts, _record_slack,
                               _straight_slack_bound, _unit_paths, ground_truth_counts)
@@ -310,6 +312,106 @@ def test_ndjson_round_trip_is_exact(rows, delta):
     back, back_delta = read_sample_ndjson(io.StringIO(line + "\n"), speed=speed)
     assert back.tobytes() == positions.tobytes()
     assert back_delta == delta
+
+
+# Spellings of position fields that int() and float() accept. numpy's text reader takes
+# the padded, signed, zero-led, exponent and nan/inf ones; it declines underscores and
+# non-ASCII digits, which send the block to the line-by-line parse.
+PADDING = st.text(" \t", max_size=2)
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@st.composite
+def any_case(draw, word):
+    return "".join(draw(st.sampled_from((c, c.upper()))) for c in word)
+
+
+@st.composite
+def int_spellings(draw, value):
+    return draw(st.sampled_from(("", "+"))) + "0" * draw(st.integers(0, 2)) + str(value)
+
+
+@st.composite
+def float_spellings(draw, value):
+    """A spelling of ``value`` that float() reads back with the same bits, but for a NaN's
+    payload: its sign is spelled too."""
+    sign = "-" if math.copysign(1.0, value) < 0 else draw(st.sampled_from(("", "+")))
+    if not math.isfinite(value):
+        return sign + draw(any_case("nan" if math.isnan(value)
+                                    else draw(st.sampled_from(("inf", "infinity")))))
+    # The decimal digits of repr, zero-led, with the point anywhere (".5" and "5." too)
+    # and the exponent that keeps the value.
+    _, digits, exponent = Decimal(repr(abs(value))).as_tuple()
+    digits = "0" * draw(st.integers(0, 2)) + "".join(map(str, digits))
+    point = draw(st.integers(0, len(digits)))
+    exponent += len(digits) - point
+    mantissa = digits if point == len(digits) and draw(st.booleans()) else (
+        digits[:point] + "." + digits[point:])
+    if exponent == 0 and draw(st.booleans()):
+        return sign + mantissa
+    plus = "+" if exponent >= 0 and draw(st.booleans()) else ""
+    return f"{sign}{mantissa}{draw(st.sampled_from('eE'))}{plus}{exponent}"
+
+
+@st.composite
+def declined(draw, spelling):
+    """``spelling`` with an underscore between two of its digits, or in Arabic-Indic digits;
+    unchanged when it has too few digits for either."""
+    pairs = [j for j in range(1, len(spelling))
+             if spelling[j - 1].isdigit() and spelling[j].isdigit()]
+    if pairs and draw(st.booleans()):
+        j = draw(st.sampled_from(pairs))
+        return spelling[:j] + "_" + spelling[j:]
+    return spelling.translate(ARABIC_INDIC)
+
+
+@st.composite
+def spelled_lines(draw, row, t, x, y, decline):
+    """The line of one row, each field padded and spelled; a ``decline``d row spells its
+    index with a spelling numpy declines, and maybe other fields too."""
+    fields = [draw(int_spellings(row))] + [draw(float_spellings(v)) for v in (t, x, y)]
+    if decline:
+        fields[0] = draw(declined(fields[0]))
+    fields[1:] = [draw(declined(f)) if decline and draw(st.booleans()) else f
+                  for f in fields[1:]]
+    return ",".join(draw(PADDING) + f + draw(PADDING) for f in fields)
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 12), st.integers(1, 12), st.booleans())
+def test_csv_reader_reads_what_int_and_float_read(data, before, after, first_declined):
+    # Two blocks: the last ``before`` rows of the first and the ``after`` rows of the second
+    # are spelled, and one of the two blocks holds a spelling that numpy declines.
+    rows = _ROWS + after
+    times = np.arange(rows) * 0.25
+    lines = list(positions_csv_lines(times, np.random.default_rng(rows).normal(size=(rows, 2))))
+    declined_row = data.draw(st.integers(_ROWS - before, _ROWS - 1) if first_declined
+                             else st.integers(_ROWS, rows - 1))
+    for row in range(_ROWS - before, rows):
+        x, y = data.draw(st.floats()), data.draw(st.floats())
+        decline = row == declined_row
+        lines[row + 1] = data.draw(spelled_lines(row, float(times[row]), x, y, decline))
+    text = "\n".join(lines) + "\n"
+    parsed = [line.split(",") for line in lines[1:]]
+    assert [int(i) for i, *_ in parsed] == list(range(rows))
+    reference = np.array([[float(v) for v in fields[1:]] for fields in parsed])
+
+    paths, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        try:
+            table = loadtxt(*args, **kwargs)
+        except ValueError:
+            paths.append("line by line")
+            raise
+        paths.append("numpy")
+        return table
+
+    with mock.patch.object(np, "loadtxt", spy):
+        positions, delta = read_positions_csv(io.StringIO(text))
+    assert paths == (["line by line", "numpy"] if first_declined else ["numpy", "line by line"])
+    assert positions.tobytes() == reference[:, 1:].tobytes()
+    assert delta == 0.25
 
 
 @st.composite
