@@ -6,12 +6,15 @@ a division by zero) exit with code 1, invalid input, I/O problems and memory
 exhaustion with code 2; each prints a one-line JSON error record to stderr. The
 PFL_THREADS environment variable (0 = auto) sets the number of Monte Carlo
 workers, capped at the usable CPUs, each taking one share of every cell.
+``main`` builds its parser once per process and reuses it: parsing leaves the
+parser as it was, so every call parses as a fresh parser would.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import Iterable
@@ -185,8 +188,12 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built on main's first call: building costs more than parsing a small record.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ArithmeticError, ValueError, OSError, MemoryError) as exc:

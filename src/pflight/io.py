@@ -8,13 +8,14 @@ tables that grow with a record, are written ``_ROWS`` rows at a time: one
 ``csv_lines`` formats every other (small) table a cell at a time: floats
 through its ``fmt``, bools as ``true``/``false``, ints and strings through
 ``str``; Monte Carlo summary tables use 6 significant digits. The positions
-reader hands ``_ROWS`` lines at a time to numpy's text reader, which parses
-each float with the same C routine as ``float``; a block that numpy declines
-(underscores, non-ASCII digits, any bad field) is parsed line by line with
-``int`` and ``float``. Either way the reader accepts exactly what ``int``
-and ``float`` accept, with the values they give. JSON has no representation
-for non-finite floats, so a saturated or failed estimate serializes as
-``null`` plus a boolean flag.
+reader hands ``_ROWS`` raw lines at a time to numpy's text reader, which skips
+empty lines and parses each float with the same C routine as ``float``; a
+block that numpy declines (underscores, non-ASCII digits, any bad field, a
+whitespace-only line) is parsed line by line with ``int`` and ``float``.
+Either way the reader accepts exactly what ``int`` and ``float`` accept,
+with the values they give. JSON has no representation for non-finite
+floats, so a saturated or failed estimate serializes as ``null`` plus a
+boolean flag.
 """
 
 from __future__ import annotations
@@ -149,15 +150,17 @@ def read_positions_csv(fh: TextIO) -> tuple[np.ndarray, float]:
 def _parse_block(raw: list[str], first: int, lineno: int) -> np.ndarray:
     """The (t, x, y) rows of ``raw`` lines, the first numbered ``lineno``, which must hold
     the rows ``first``, ``first + 1``, ... and blank lines."""
-    lines = list(filter(None, map(str.strip, raw)))
-    if not lines:
+    # Stops at the first line with text, almost always the first. A block of blank lines
+    # holds no rows; numpy would warn that it read no data.
+    if not any(map(str.strip, raw)):
         return np.empty((0, 3))
     try:
-        rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=_POSITION_ROW, ndmin=1)
+        # numpy skips empty lines and declines a block with a whitespace-only line.
+        rows = np.loadtxt(raw, delimiter=",", comments=None, dtype=_POSITION_ROW, ndmin=1)
     except ValueError:
         pass
     else:
-        if np.array_equal(rows["i"], np.arange(first, first + len(lines))):
+        if np.array_equal(rows["i"], np.arange(first, first + len(rows))):
             # Each row as four float64s, of which the first, the index's bits, is dropped.
             return rows.view(np.float64).reshape(-1, 4)[:, 1:]
     # numpy declined the block or its index is off: parse it line by line with int and
@@ -218,6 +221,8 @@ def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.nd
     Blank lines are ignored. The record's ``delta``, ``n``, ``speed`` and every coordinate
     of its ``positions`` rows must be JSON numbers (not booleans), its ``n`` must match its
     number of positions, and its ``speed`` must equal ``speed`` when the caller gives one.
+    An ``origin`` is optional; where the record has one, it must be two JSON numbers equal
+    to its first position.
     """
     lines = [line for line in map(str.strip, fh) if line]
     if len(lines) != 1:
@@ -245,6 +250,10 @@ def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.nd
         if not all(type(v) in (int, float) for v in meta):
             raise TypeError(f"delta, n and speed must be numbers, got {meta!r}")
         delta = float(delta)
+        origin = obj.get("origin")
+        if "origin" in obj and not (type(origin) is list and len(origin) == 2
+                                    and set(map(type, origin)) <= {int, float}):
+            raise TypeError(f"origin must be two numbers, got {origin!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # OverflowError: an integer too large for a float64, in delta or a position.
         raise ParameterError(f"malformed discrete_sample record: {exc}") from None
@@ -253,6 +262,10 @@ def read_sample_ndjson(fh: TextIO, *, speed: float | None = None) -> tuple[np.nd
             f"record's n = {n!r} does not match its positions of shape {positions.shape}")
     if speed is not None and record_speed != speed:
         raise ParameterError(f"record's speed {record_speed!r} differs from {speed!r}")
+    first = positions[0].tolist() if len(positions) else None
+    if origin is not None and origin != first:
+        raise ParameterError(f"record's origin {origin!r} differs from its first position "
+                             f"{first!r}")
     return positions, delta
 
 

@@ -31,7 +31,7 @@ from pflight import (
     run_experiment,
 )
 from pflight import montecarlo
-from pflight.cli import main
+from pflight.cli import build_parser, main
 from pflight.io import fmt_raw, summary_csv_lines
 
 SIM_ARGS = [
@@ -640,6 +640,52 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--bogus", "1"])
         assert exc.value.code == 2
+
+
+class TestReusedParser:
+    """main parses with one parser per process; no call may leave anything for the next."""
+
+    def test_estimator_choice_does_not_stick(self, capsys, tmp_path):
+        path = TestEstimate().make_sample_file(capsys, tmp_path)
+        argv = ["estimate", "--in", str(path), "--c", "1.0"]
+        _, one, _ = run_cli(capsys, argv + ["--estimator", "hat"])
+        assert [line.split(",")[0] for line in one.splitlines()[1:]] == ["pseudo_mle"]
+        _, every, _ = run_cli(capsys, argv)
+        assert [line.split(",")[0] for line in every.splitlines()[1:]] == [
+            "pseudo_mle", "modified_mle", "indicator"]
+
+    def test_start_does_not_stick(self, capsys):
+        _, moved, _ = run_cli(capsys, SIM_ARGS + ["--x0", "5"])
+        assert moved.splitlines()[1] == "0,0,5,0"
+        _, plain, _ = run_cli(capsys, SIM_ARGS)
+        assert plain.splitlines()[1] == "0,0,0,0"
+
+    def test_parse_failure_does_not_stick(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--lambda", "one"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, SIM_ARGS)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 22
+
+    def test_help_is_unchanged_by_other_calls(self, capsys):
+        def help_text(argv):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        before = [help_text(["--help"]), help_text(["estimate", "--help"])]
+        run_cli(capsys, SIM_ARGS + ["--x0", "5", "--format", "ndjson"])
+        with pytest.raises(SystemExit):
+            main(["estimate", "--bogus"])
+        capsys.readouterr()
+        assert [help_text(["--help"]), help_text(["estimate", "--help"])] == before
+        assert before[0] == build_parser().format_help()
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestGoldenOutput:

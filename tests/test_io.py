@@ -211,7 +211,7 @@ class TestBlockBoundaries:
         got, delta = read_positions_csv(io.StringIO(text))
         assert delta == 0.25
         assert got.tobytes() == positions.tobytes()
-        params = SimpleNamespace(rate=1.0, speed=1.0, origin=(0.0, 0.0))
+        params = SimpleNamespace(rate=1.0, speed=1.0, origin=tuple(positions[0]))
         sample = SimpleNamespace(params=params, delta=0.25, n=rows - 1, positions=positions)
         got, delta = read_sample_ndjson(io.StringIO(sample_ndjson_line(sample)))
         assert delta == 0.25
@@ -243,6 +243,43 @@ class TestBlockBoundaries:
                          + ["1,1,0.5,0", "2,2,1,0"]) + "\n"
         positions, delta = read_positions_csv(io.StringIO(text))
         assert (positions.tolist(), delta) == ([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]], 1.0)
+
+    # numpy receives the raw lines of each block. Each text below must read as the same
+    # rows without its blank lines; a whitespace-only line sends its block line by line.
+    ROWS_AROUND = [f"{i},{i / 2},{i / 4},-{i / 8}" for i in range(_ROWS + 10)]
+
+    def read_as_plain(self, lines, newline="\n"):
+        text = newline.join([POSITIONS_HEADER] + lines) + newline
+        got = read_positions_csv(io.StringIO(text))
+        plain = "\n".join([POSITIONS_HEADER] + [s for s in lines if s.strip()]) + "\n"
+        expected = read_positions_csv(io.StringIO(plain))
+        assert (got[0].tobytes(), got[1]) == (expected[0].tobytes(), expected[1])
+        assert got[0].shape == (len([s for s in lines if s.strip()]), 2)
+
+    def test_whitespace_block_between_rows(self):
+        # The second block holds only whitespace lines, which numpy declines; the empty
+        # lines of test_blank_blocks_between_rows, which numpy would warn about, never
+        # reach it.
+        self.read_as_plain(["0,0,0,0"] + [" \t"] * (2 * _ROWS) + ["1,1,0.5,0", "2,2,1,0"])
+
+    def test_crlf_across_a_block_boundary(self):
+        self.read_as_plain(self.ROWS_AROUND, newline="\r\n")
+
+    def test_whitespace_line_inside_a_data_block(self):
+        lines = list(self.ROWS_AROUND)
+        lines.insert(_ROWS + 3, "  ")
+        lines.insert(5, "\t")
+        self.read_as_plain(lines)
+
+    def test_bad_field_after_a_whitespace_line_names_its_line(self):
+        lines = list(self.ROWS_AROUND)
+        lines[_ROWS + 4] = f"{_ROWS + 4},1,abc,0"
+        lines.insert(_ROWS + 2, "  ")
+        with pytest.raises(ParameterError) as exc:
+            read_positions_csv(io.StringIO("\n".join([POSITIONS_HEADER] + lines) + "\n"))
+        # The header is line 1, so row i is line i + 2 before the whitespace line, i + 3 after.
+        assert str(exc.value) == (
+            f"line {_ROWS + 7}: could not convert string to float: 'abc'")
 
     @pytest.mark.parametrize("blanks", [1, _ROWS, 2 * _ROWS + 1])
     def test_header_and_blank_lines_only(self, blanks):
@@ -366,6 +403,33 @@ class TestNdjson:
                 read_sample_ndjson(io.StringIO(json.dumps(dict(obj, n=n)) + "\n"))
 
     RECORD = {"type": "discrete_sample", "delta": 1, "n": 1, "speed": 1}
+
+    def test_origin_must_be_the_first_position(self, capsys, tmp_path):
+        obj = dict(self.RECORD, positions=[[-0.0, 2], [0.5, 2]])
+        # Missing, or two numbers equal to the first row: -0.0 equals 0, and 2 equals 2.0.
+        for good in (obj, dict(obj, origin=[0, 2.0]), dict(obj, origin=[-0.0, 2])):
+            positions, _ = read_sample_ndjson(io.StringIO(json.dumps(good)))
+            assert positions.tobytes() == np.array([[-0.0, 2.0], [0.5, 2.0]]).tobytes()
+        with pytest.raises(ParameterError) as exc:
+            read_sample_ndjson(io.StringIO(json.dumps(dict(obj, origin=[5.0, 5.0]))))
+        assert str(exc.value) == (
+            "record's origin [5.0, 5.0] differs from its first position [-0.0, 2.0]")
+        for bad in (["0", 2], [False, 2], [0, None], [0], [0, 2, 0], None, 0, "0,2", {}):
+            with pytest.raises(ParameterError) as exc:
+                read_sample_ndjson(io.StringIO(json.dumps(dict(obj, origin=bad))))
+            assert str(exc.value) == (
+                f"malformed discrete_sample record: origin must be two numbers, got {bad!r}")
+        # No rows and n = -1 pass the n check; there is no first position.
+        with pytest.raises(ParameterError, match="differs from its first position None"):
+            read_sample_ndjson(io.StringIO(json.dumps(
+                dict(self.RECORD, n=-1, positions=[], origin=[0, 0]))))
+        # Through the command: exit 2 and no estimate.
+        path = tmp_path / "moved.ndjson"
+        path.write_text(json.dumps(dict(obj, origin=[5.0, 5.0])) + "\n")
+        code = main(["estimate", "--in", str(path), "--c", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"] == "ParameterError"
 
     def test_rejects_ragged_rows(self):
         # The last holds as many numbers as three rows of two.
