@@ -257,9 +257,8 @@ class TestBlockBoundaries:
         assert got[0].shape == (len([s for s in lines if s.strip()]), 2)
 
     def test_whitespace_block_between_rows(self):
-        # The second block holds only whitespace lines, which numpy declines; the empty
-        # lines of test_blank_blocks_between_rows, which numpy would warn about, never
-        # reach it.
+        # The second block holds only whitespace-only lines. A block of empty lines, on
+        # which numpy would warn that it read no data, is test_blank_blocks_between_rows.
         self.read_as_plain(["0,0,0,0"] + [" \t"] * (2 * _ROWS) + ["1,1,0.5,0", "2,2,1,0"])
 
     def test_crlf_across_a_block_boundary(self):
