@@ -97,18 +97,18 @@ class IncrementSummary:
         speed = require_positive("speed", speed)
         u_raw = _record_slack(np.asarray(positions, dtype=np.float64), speed, delta)
         epsilon = check_epsilon(epsilon)
-        turned, (n_plus,), (s,) = _classify(u_raw[None], delta, speed, epsilon)
+        turned, (n_plus,), (s,) = _classify(u_raw, delta, speed, epsilon, (0, u_raw.size))
         return cls(n=u_raw.size, delta=delta, speed=speed, epsilon=epsilon,
-                   u=np.maximum(u_raw, 0.0, out=u_raw), turned=turned[0], n_plus=n_plus,
+                   u=np.maximum(u_raw, 0.0, out=u_raw), turned=turned, n_plus=n_plus,
                    sum_sqrt_u_turned=s)
 
 
 def _classify(u_raw: np.ndarray, delta: float, speed: float, epsilon: float,
-              starts: np.ndarray | None = None) -> tuple[np.ndarray, list[int], list[float]]:
-    """Each row's turned strides (slack > epsilon*(speed*delta)^2), and its n_plus and S.
+              starts: np.ndarray | tuple[int, int]) -> tuple[np.ndarray, list[int], list[float]]:
+    """The turned strides (slack > epsilon*(speed*delta)^2), and each row's n_plus and S.
 
-    ``u_raw`` is (rows, n); or 1-d, row r's slacks u_raw[starts[r]:starts[r + 1]], with
-    starts[0] = 0 and starts[-1] >= u_raw.size."""
+    Row r's slacks are u_raw[starts[r]:starts[r + 1]], with starts[0] = 0 and
+    starts[-1] >= u_raw.size."""
     tol = _turn_tolerance(epsilon, speed, delta)
     # Written so that a NaN slack (a non-finite position) fails the test.
     if not np.all(u_raw >= -tol):
@@ -120,8 +120,6 @@ def _classify(u_raw: np.ndarray, delta: float, speed: float, epsilon: float,
     at = np.flatnonzero(turned)
     roots = u_raw.take(at)
     np.sqrt(roots, out=roots)
-    if starts is None:
-        starts = np.arange(0, u_raw.size + 1, u_raw.shape[1])
     bounds = at.searchsorted(starts)
     n_plus, bounds = np.diff(bounds).tolist(), bounds.tolist()
     # One sum per row keeps np.sum's pairwise order; a masked row-wise sum does not.

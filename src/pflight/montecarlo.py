@@ -22,14 +22,12 @@ outlasts its first chunk of exponentials, about 1e-9 of them, takes its
 statistics from the reference summary. The kernel returns each replication's
 ``n_plus`` and ``S`` with the bits of ``run_replication``'s summary, and
 ``run_experiment`` applies the registry's closed forms to them. Positions come
-from ``sample_at_grid``'s formula, and only at the two ends of each stride that
-holds an event (``simulate._grid_counts``): a stride without one is straight,
-so its slack is rounding alone, which ``simulate._straight_slack_bound`` bounds
-per row. A row skips those strides only where that bound is below
-min(epsilon, 2e-9) / 2, so that none could read as turned or too long; any other
-row evaluates every stride.
+from ``sample_at_grid``'s formula, and slacks are taken only of the strides that
+``_run_range`` evaluates: a stride without an event is straight, so its slack
+is rounding alone, and a row skips such strides where that rounding is bounded
+well inside the turn tolerance.
 
-Failed replications (an estimator raising ``NumericalError``) and
+Failed replications (a closed form's NaN, where c*n*delta - S <= 0) and
 saturated indicator estimates are excluded from the moments and counted in
 ``saturated_count``; the per-cell invariant
 ``saturated_count + successful = reps`` always holds.
@@ -188,7 +186,13 @@ _BLOCK_STRIDES = 1 << 15
 
 def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
                start: int, stop: int) -> tuple[list[int], list[float]]:
-    """n_plus and S of replications [start, stop) of one cell, run in blocks of replications."""
+    """n_plus and S of replications [start, stop) of one cell, run in blocks of replications.
+
+    Positions are taken only at the two ends of each evaluated stride: every stride that
+    holds an event (a positive cell of ``_grid_counts``) in a row whose
+    ``_straight_slack_bound`` is below min(epsilon, 2e-9) / 2, and every stride of any other
+    row. Slacks are taken of those strides alone, so no difference spans a skipped stride.
+    """
     rate, n = config.lambda_grid[lambda_index], config.n_grid[n_index]
     horizon, speed = config.horizon, config.speed
     delta, chunk = horizon / n, _chunk(rate, horizon)
@@ -201,9 +205,6 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
     # Built once for all blocks: at n = 200,000, draw arrays per block took 1.8 times the
     # page faults. The grid repeats once per row, so that the ends' times are one take.
     grid, row_starts = np.tile(_grid(horizon, n), size), np.arange(size + 1) * (n + 1)
-    # A difference across skipped strides is zeroed before it is squared where it could
-    # overflow: |dx| <= 2 c T.
-    zero_gaps_first = speed * horizon >= 1e153
     gaps, uniforms = np.empty((size, chunk)), np.empty((size, chunk))
     rngs = _replication_generators(config.master_seed, lambda_index, n_index, start, stop)
     for first in range(start, stop, size):
@@ -226,9 +227,9 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
         ends[:, :-1] |= right[:, 1:]
         ends[:, 0] = True
         at = np.flatnonzero(ends)
-        # A difference of consecutive ends that is no stride gets slack 0. Row r's differences
-        # are those from its time 0 to row r + 1's, each row's last one of them such a gap.
-        keep = right.take(at[1:]).astype(np.float64)
+        # p: the evaluated strides, by the index in ``at`` of their right ends; each left end
+        # is the end before it, in the same row, as a row's column 0 is never a right end.
+        p = np.flatnonzero(right.take(at))
         # Every event's cell is an end, so a running sum over the ends counts a row's events;
         # column 0 takes it from row r - 1's offset plus events to row r's offset, r * w.
         cells[1:, 0] = knots.shape[1] - counts[:-1]
@@ -239,15 +240,10 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
         x, y = _positions(speed, knots, paths, grid.take(at), np.cumsum(k, out=k),
                           np.empty((2, at.size)))
         del paths, k
-        dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
-        if zero_gaps_first:
-            dx *= keep
-            dy *= keep
-        slack = _stride_slack(dx, dy, speed, delta)
-        slack *= keep
+        slack = _stride_slack(x[p] - x[p - 1], y[p] - y[p - 1], speed, delta)
         _check_steps(slack, speed, delta)
         _, block_n_plus, block_s = _classify(slack, delta, speed, config.epsilon,
-                                             at.searchsorted(row_starts[:rows + 1]))
+                                             at.take(p).searchsorted(row_starts[:rows + 1]))
         for row in rare:
             summary = _reference_summary(config, lambda_index, n_index, first + row)
             block_n_plus[row], block_s[row] = summary.n_plus, summary.sum_sqrt_u_turned

@@ -117,10 +117,14 @@ def _stride_slack(dx: np.ndarray, dy: np.ndarray, speed: float, delta: float) ->
 
 
 def _record_slack(pos: np.ndarray, speed: float, delta: float) -> np.ndarray:
-    """The stride slacks of one record, whose positions must have shape (n+1, 2)."""
+    """The stride slacks of one record, whose positions must have shape (n+1, 2).
+
+    A non-finite or huge position gives a NaN or -inf slack, with no numpy warning, for the
+    caller's checks to reject."""
     if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
         raise ParameterError(f"positions must have shape (n+1, 2) with n >= 1, got {pos.shape}")
-    return _stride_slack(np.diff(pos[:, 0]), np.diff(pos[:, 1]), speed, delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _stride_slack(np.diff(pos[:, 0]), np.diff(pos[:, 1]), speed, delta)
 
 
 def _check_steps(slack: np.ndarray, speed: float, delta: float) -> None:
@@ -269,10 +273,7 @@ def _grid_counts(grid: np.ndarray, knots: np.ndarray, counts: np.ndarray) -> np.
     (grid[n] = horizon) and n below 2**51 (``_check_n``), rint(e / (horizon/n)) is that j or
     j - 1, so one comparison with grid[j] makes it exact, also for an event on a grid time or
     one ulp from one. Padding lands in cell n and is taken off there. Column 0 counts nothing;
-    the cumulative sum along a row is each grid time's segment. ``sample_at_grid`` takes
-    positions at every grid time; the Monte Carlo kernel only at both ends of a positive cell
-    in a row whose ``_straight_slack_bound`` is below min(epsilon, 2e-9) / 2, and at every
-    grid time of any other row.
+    the cumulative sum along a row is each grid time's segment.
     """
     rows, n = knots.shape[0], grid.size - 1
     events = knots[:, 1:]
@@ -304,9 +305,8 @@ def _positions(speed: float, knots: np.ndarray, paths, times: np.ndarray, k: np.
                out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (2, *k.shape), x then y, with positions relative to the origin at ``times``.
 
-    ``times`` broadcasts to ``k``'s shape: grid times, at every one (``sample_at_grid``) or at
-    the ends of the strides the Monte Carlo kernel evaluates (every stride with an event, and
-    all strides of a row not admitted by ``_straight_slack_bound``). ``paths`` is
+    ``times`` broadcasts to ``k``'s shape: grid times, every one (``sample_at_grid``) or the
+    ends of the strides that the Monte Carlo kernel's ``_run_range`` evaluates. ``paths`` is
     ``_unit_paths(knots, headings)``; ``k`` is row r's flat offset r * w plus the number of the
     row's events at or before each time: the segment holding it. With rem the time since the
     segment started, a coordinate is c * (cum[k] + rem * trig[k]). Callers add the origin

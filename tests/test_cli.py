@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +503,29 @@ class TestErrorHandling:
             )
             assert code == 2, out
             assert "non-finite" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("name, text, slack", [
+        ("huge.csv", "i,t,x,y\n0,0,0,0\n1,1,1e200,0\n2,2,1e200,0\n", "-inf"),
+        ("inf.csv", "i,t,x,y\n0,0,0,0\n1,1,inf,0\n2,2,inf,0\n", "nan"),
+        ("huge.ndjson", '{"type":"discrete_sample","delta":1,"n":2,"speed":1,'
+                        '"positions":[[0,0],[1e300,1e300],[0,0]]}\n', "-inf"),
+    ])
+    def test_overflowing_record_prints_one_error_line(self, capsys, tmp_path, name, text,
+                                                      slack):
+        # An overflowing square (1e200, 1e300) or inf - inf gives a -inf or NaN slack: the
+        # record exits 2 with one JSON line on stderr, and numpy warns of neither.
+        path = tmp_path / name
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["estimate", "--in", str(path), "--c", "1"])
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "InconsistentSampleError", "command": "estimate",
+            "message": f"slack {slack} is non-finite or below -epsilon*(speed*delta)^2 = "
+                       "-1.0000000000000001e-09; an increment is non-finite or longer than "
+                       "one stride"}
 
     def test_ndjson_metadata_mismatch_exits_2(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, SIM_ARGS + ["--format", "ndjson"])

@@ -429,8 +429,10 @@ def cells(draw, max_reps=12):
 
 # At lambda = 2, n = 200, T = 500 every stride turns in about a quarter of
 # the replications, so the indicator saturates there. Further examples below: n = 1; a
-# dense cell, lambda * delta = 6; and c * T = 5e155, where the skipped strides of a
-# straight flight span differences whose squares would overflow.
+# dense cell, lambda * delta = 6; c * T = 5e155, where a difference across the skipped
+# strides of a straight flight would overflow when squared, so the kernel must take slacks of
+# evaluated strides only; a cell with no event, where no block evaluates a stride; and n = 1
+# with replications 1, 5 and 6 free of events, so that the block of 5 and 6 evaluates none.
 SATURATING = ExperimentConfig(lambda_grid=(2.0,), n_grid=(200,), horizon=500.0, reps=12,
                               master_seed=3)
 
@@ -453,6 +455,10 @@ def block_ranges(draw):
                            master_seed=11, speed=2.5), 3, 0, 8))
 @example((ExperimentConfig(lambda_grid=(1e-3,), n_grid=(100,), horizon=1e4, reps=3,
                            master_seed=2, speed=5e151), 2, 0, 3))
+@example((ExperimentConfig(lambda_grid=(1e-4,), n_grid=(50,), horizon=10.0, reps=4,
+                           master_seed=1), 2, 0, 4))
+@example((ExperimentConfig(lambda_grid=(0.2,), n_grid=(1,), horizon=3.0, reps=8,
+                           master_seed=4), 2, 1, 8))
 def test_block_kernel_equals_run_replication(cell):
     # B replications per block, for any B from 1 to reps, over any range of a cell: every
     # replication's n_plus and S keep the reference summary's bits, also in blocks that

@@ -1,6 +1,7 @@
 """Tests for trajectory simulation and discrete sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,12 +273,17 @@ class TestDiscreteSample:
             DiscreteSample(params, 0.0, good)
 
     def test_non_finite_position_rejected(self):
-        # A non-finite position away from the origin row fails the step test.
+        # A non-finite position away from the origin row fails the step test. So does a step
+        # whose square overflows, or inf - inf: a -inf or NaN slack, with no numpy warning.
         params = FlightParams(rate=1.0, speed=1.0)
-        for bad in ([0.5, math.nan], [math.nan, 0.0], [math.inf, 0.0]):
-            pos = np.array([[0.0, 0.0], [0.5, 0.0], bad, [0.5, 0.5]])
-            with pytest.raises(ParameterError, match="non-finite"):
-                DiscreteSample(params, 1.0, pos)
+        for bad in ([[0.5, math.nan]], [[math.nan, 0.0]], [[math.inf, 0.0]],
+                    [[1e200, 0.0], [1e200, 0.0]], [[math.inf, 0.0], [math.inf, 0.0]],
+                    [[1e300, 1e300]]):
+            pos = np.array([[0.0, 0.0], [0.5, 0.0], *bad, [0.5, 0.5]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParameterError, match="non-finite"):
+                    DiscreteSample(params, 1.0, pos)
 
     def test_step_bound_on_squared_slack(self):
         # Steps may exceed speed*delta by a relative 1e-9, no more.
