@@ -57,8 +57,8 @@ from .estimators import (
     summarize_increments,
 )
 from .seeding import SeedSpec, _replication_generators, replication_stream
-from .simulate import (FlightParams, _check_event_count, _check_n, _check_steps, _check_stride,
-                       _chunk, _flight_block, _grid, _grid_counts, _positions,
+from .simulate import (_STEP_MARGIN, FlightParams, _check_event_count, _check_n, _check_steps,
+                       _check_stride, _chunk, _flight_block, _grid, _grid_counts, _positions,
                        _straight_slack_bound, _stride_slack, _unit_paths, sample_at_grid,
                        simulate_trajectory)
 
@@ -188,17 +188,20 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
                start: int, stop: int) -> tuple[list[int], list[float]]:
     """n_plus and S of replications [start, stop) of one cell, run in blocks of replications.
 
-    Positions are taken only at the two ends of each evaluated stride: every stride that
-    holds an event (a positive cell of ``_grid_counts``) in a row whose
-    ``_straight_slack_bound`` is below min(epsilon, 2e-9) / 2, and every stride of any other
-    row. Slacks are taken of those strides alone, so no difference spans a skipped stride.
+    Every block runs the same stages in order: draws, ``_flight_block``, ``_grid_counts`` and
+    ``_unit_paths``, the per-row bound (only where the bound for any flight is too wide), end
+    selection, ``_positions``, slacks and checks, classification. Positions are taken only at
+    the two ends of each evaluated stride: every stride that holds an event (a positive cell
+    of ``_grid_counts``) in a row whose ``_straight_slack_bound`` is below
+    min(epsilon, 2 * _STEP_MARGIN) / 2, and every stride of any other row. Slacks are taken
+    of those strides alone, so no difference spans a skipped stride.
     """
     rate, n = config.lambda_grid[lambda_index], config.n_grid[n_index]
     horizon, speed = config.horizon, config.speed
     delta, chunk = horizon / n, _chunk(rate, horizon)
     # A row skips its strides without an event where twice their bound is inside the turn
-    # tolerance and the (1 + 1e-9) step check; with the bound for any flight, every row does.
-    limit = min(config.epsilon, 2e-9) / 2.0
+    # tolerance and the step check's margin; with the bound for any flight, every row does.
+    limit = min(config.epsilon, 2.0 * _STEP_MARGIN) / 2.0
     all_admitted = _straight_slack_bound(n, delta, horizon) < limit
     n_plus, s = [], []
     size = max(1, min(stop - start, _BLOCK_STRIDES // (n + chunk)))
@@ -215,13 +218,10 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
             rng.random(out=uniforms[row])
         knots, headings, counts, rare = _flight_block(gaps[:rows], uniforms[:rows], rate,
                                                       horizon)
+        cells, paths = _grid_counts(grid[:n + 1], knots, counts), _unit_paths(knots, headings)
         # right[r, i]: stride i is evaluated; ends: the times of its ends, and every row's 0.
-        cells = _grid_counts(grid[:n + 1], knots, counts)
-        # With every row admitted, each coordinate's trig and prefix sums are made as the
-        # positions take them, while they are in cache.
-        right, paths = cells > 0, _unit_paths(knots, headings)
+        right = cells > 0
         if not all_admitted:
-            paths = list(paths)
             right[_straight_slack_bound(n, delta, horizon, knots, paths) >= limit, 1:] = True
         ends = right.copy()
         ends[:, :-1] |= right[:, 1:]
@@ -237,8 +237,7 @@ def _run_range(config: ExperimentConfig, lambda_index: int, n_index: int,
         # Freed before the positions: kept to the end of the block, they raised the peak RSS at
         # (2, 200,000) by 1.5 to 4 MB, and the minor faults with it.
         del cells, ends, right
-        x, y = _positions(speed, knots, paths, grid.take(at), np.cumsum(k, out=k),
-                          np.empty((2, at.size)))
+        x, y = _positions(speed, knots, paths, grid.take(at), np.cumsum(k, out=k))
         del paths, k
         slack = _stride_slack(x[p] - x[p - 1], y[p] - y[p - 1], speed, delta)
         _check_steps(slack, speed, delta)

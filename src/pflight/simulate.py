@@ -127,9 +127,13 @@ def _record_slack(pos: np.ndarray, speed: float, delta: float) -> np.ndarray:
         return _stride_slack(np.diff(pos[:, 0]), np.diff(pos[:, 1]), speed, delta)
 
 
+# The relative margin by which a step may exceed speed*delta, for the rounding of its ends.
+_STEP_MARGIN = 1e-9
+
+
 def _check_steps(slack: np.ndarray, speed: float, delta: float) -> None:
-    """Raise unless every step is at most speed*delta*(1 + 1e-9); a NaN slack fails."""
-    stride_sq, bound = (speed * delta) ** 2, speed * delta * (1.0 + 1e-9)
+    """Raise unless every step is at most speed*delta*(1 + _STEP_MARGIN); a NaN slack fails."""
+    stride_sq, bound = (speed * delta) ** 2, speed * delta * (1.0 + _STEP_MARGIN)
     if not np.all(slack >= stride_sq - bound * bound):
         worst = math.sqrt(stride_sq - float(slack.min()))
         raise ParameterError(f"step displacement {worst:.17g} is non-finite or exceeds "
@@ -286,24 +290,25 @@ def _grid_counts(grid: np.ndarray, knots: np.ndarray, counts: np.ndarray) -> np.
     return k
 
 
-def _unit_paths(knots: np.ndarray, headings: np.ndarray):
-    """Per coordinate, x then y, (trig, cum) (rows, w): cos or sin of the headings, and cum the
-    prefix sums of unit displacements, for ``knots`` and ``headings`` as ``_flight_block``
-    returns them. Padded segments have length 0, so no row's prefix sums change. A generator:
-    a caller that takes one coordinate at a time holds one pair at a time."""
+def _unit_paths(knots: np.ndarray, headings: np.ndarray) -> list:
+    """The list of (trig, cum) (rows, w) per coordinate, x then y: cos or sin of the headings,
+    and cum the prefix sums of unit displacements, for ``knots`` and ``headings`` as
+    ``_flight_block`` returns them. Padded segments have length 0, so no row's prefix sums
+    change."""
     seg_dt = knots[:, 1:] - knots[:, :-1]
-    for trig_of in (np.cos, np.sin):
-        trig = trig_of(headings)
+    paths = []
+    for trig in (np.cos(headings), np.sin(headings)):
         cum = np.empty(trig.shape)
         cum[:, 0] = 0.0
         np.add.accumulate(np.multiply(seg_dt, trig[:, :-1], out=cum[:, 1:]), axis=1,
                           out=cum[:, 1:])
-        yield trig, cum
+        paths.append((trig, cum))
+    return paths
 
 
-def _positions(speed: float, knots: np.ndarray, paths, times: np.ndarray, k: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (2, *k.shape), x then y, with positions relative to the origin at ``times``.
+def _positions(speed: float, knots: np.ndarray, paths: list, times: np.ndarray,
+               k: np.ndarray) -> np.ndarray:
+    """Positions (2, *k.shape), x then y, relative to the origin at ``times``.
 
     ``times`` broadcasts to ``k``'s shape: grid times, every one (``sample_at_grid``) or the
     ends of the strides that the Monte Carlo kernel's ``_run_range`` evaluates. ``paths`` is
@@ -312,25 +317,21 @@ def _positions(speed: float, knots: np.ndarray, paths, times: np.ndarray, k: np.
     segment started, a coordinate is c * (cum[k] + rem * trig[k]). Callers add the origin
     after this, the last operation.
     """
+    out = np.empty((2, *k.shape))
     x, y = out
     rem = knots.take(k)
     np.subtract(times, rem, out=rem)
-    paths = iter(paths)
     # cum[k] goes into an array that is free by then: y before y is filled, rem after its use.
-    for v, spare in ((x, y), (y, rem)):
-        trig, cum = next(paths)
+    for (trig, cum), (v, spare) in zip(paths, ((x, y), (y, rem))):
         trig.take(k, out=v, mode="clip")  # k is in range; "clip" fills out unbuffered
         v *= rem
         v += cum.take(k, out=spare, mode="clip")
         v *= speed
-        # Dropped before a generator makes the next pair, which then reuses their memory while
-        # it is in cache: held, the positions took 8% longer at (1.5, 300).
-        del trig, cum
     return out
 
 
 def _straight_slack_bound(n: int, delta: float, horizon: float, knots: np.ndarray | None = None,
-                          paths=None) -> np.ndarray | float:
+                          paths: list | None = None) -> np.ndarray | float:
     """An upper bound on |slack| / (c*delta)^2 of a stride without an event, as ``_positions``
     and ``_stride_slack`` compute it on ``_grid(horizon, n)`` from the origin: per row of a
     block (``knots``; ``paths`` from ``_unit_paths``), or for any flight. The stride's ends
@@ -364,8 +365,7 @@ def _trajectory_positions(traj: Trajectory, times: np.ndarray) -> np.ndarray:
     """Positions (times.size, 2) of one trajectory at 1-d ``times`` in [0, horizon], any order."""
     knots, headings, _ = _flight_arrays(traj)
     k = traj.event_times.searchsorted(times, side="right")
-    planes = _positions(traj.params.speed, knots, _unit_paths(knots, headings), times, k[None],
-                        np.empty((2, 1, times.size)))
+    planes = _positions(traj.params.speed, knots, _unit_paths(knots, headings), times, k[None])
     return _with_origin(planes[:, 0], traj.params.origin)
 
 
@@ -379,7 +379,7 @@ def sample_at_grid(traj: Trajectory, n: int) -> DiscreteSample:
     grid, (knots, headings, counts) = _grid(traj.horizon, n), _flight_arrays(traj)
     k = _grid_counts(grid, knots, counts)  # one row, whose flat offset is 0
     planes = _positions(traj.params.speed, knots, _unit_paths(knots, headings), grid,
-                        np.cumsum(k, axis=1, out=k), np.empty((2, 1, n + 1)))
+                        np.cumsum(k, axis=1, out=k))
     del grid, k  # freed before the sample's positions and slacks
     return DiscreteSample(params=traj.params, delta=traj.horizon / n,
                           positions=_with_origin(planes[:, 0], traj.params.origin))

@@ -431,8 +431,11 @@ def cells(draw, max_reps=12):
 # the replications, so the indicator saturates there. Further examples below: n = 1; a
 # dense cell, lambda * delta = 6; c * T = 5e155, where a difference across the skipped
 # strides of a straight flight would overflow when squared, so the kernel must take slacks of
-# evaluated strides only; a cell with no event, where no block evaluates a stride; and n = 1
-# with replications 1, 5 and 6 free of events, so that the block of 5 and 6 evaluates none.
+# evaluated strides only; a cell with no event, where no block evaluates a stride; n = 1
+# with replications 1, 5 and 6 free of events, so that the block of 5 and 6 evaluates none;
+# and n = 200,000 at T = 20,000, whose bound for any flight (7.99e-10) is above the limit of
+# 5e-10, so that it takes the per-row branch at the default epsilon and reads the unit paths
+# twice, for the per-row bound and for the positions.
 SATURATING = ExperimentConfig(lambda_grid=(2.0,), n_grid=(200,), horizon=500.0, reps=12,
                               master_seed=3)
 
@@ -459,6 +462,8 @@ def block_ranges(draw):
                            master_seed=1), 2, 0, 4))
 @example((ExperimentConfig(lambda_grid=(0.2,), n_grid=(1,), horizon=3.0, reps=8,
                            master_seed=4), 2, 1, 8))
+@example((ExperimentConfig(lambda_grid=(0.5,), n_grid=(200_000,), horizon=20_000.0, reps=3,
+                           master_seed=7), 2, 0, 3))
 def test_block_kernel_equals_run_replication(cell):
     # B replications per block, for any B from 1 to reps, over any range of a cell: every
     # replication's n_plus and S keep the reference summary's bits, also in blocks that
