@@ -4,10 +4,10 @@ Subcommands: simulate, estimate, density, moments, fisher, mc. Tables go
 to --out (default stdout). Arithmetic failures (a NumericalError, an overflow,
 a division by zero) exit with code 1, invalid input, I/O problems and memory
 exhaustion with code 2; each prints a one-line JSON error record to stderr. The
-PFL_THREADS environment variable (0 = auto) sets the number of Monte Carlo
-workers, capped at the usable CPUs, each taking one share of every cell.
-``main`` builds its parser once per process and reuses it: parsing leaves the
-parser as it was, so every call parses as a fresh parser would.
+PFL_THREADS environment variable (0 = auto) sets how many processes, the caller
+among them, compute a Monte Carlo run, one share of every cell each, at most one
+per usable CPU. ``main`` builds its parser once per process and reuses it:
+parsing leaves the parser as it was, so every call parses as a fresh parser would.
 """
 
 from __future__ import annotations

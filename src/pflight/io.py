@@ -2,10 +2,11 @@
 
 Raw numeric output is printed with the one spec ``RAW_SPEC``, 17 significant
 digits, so every float64 round-trips exactly; ``fmt_raw``, ``fmt_json`` and
-the position-table block writers all read it. Position tables, the only
-tables that grow with a record, are written ``_ROWS`` rows at a time: one
-``%`` template per block over the Python floats of ``ndarray.tolist()``.
-``csv_lines`` formats every other (small) table a cell at a time: floats
+the block writers all read it. Position tables and Monte Carlo raw records,
+the only tables that grow with a record or a study, are written ``_ROWS`` rows
+at a time: one ``%`` template per block over the Python floats of
+``ndarray.tolist()``, a raw record with a non-finite value rebuilt value by
+value. ``csv_lines`` formats every other (small) table a cell at a time: floats
 through its ``fmt``, bools as ``true``/``false``, ints and strings through
 ``str``; Monte Carlo summary tables use 6 significant digits. The positions
 reader hands ``_ROWS`` raw lines at a time to numpy's text reader, which skips
@@ -289,21 +290,27 @@ def summary_csv_lines(outcome) -> Iterator[str]:
 
 
 def raw_ndjson_lines(outcome) -> Iterator[str]:
-    """One record per replication, cells in run order, replications ascending."""
+    """One record per replication, cells in run order, replications ascending. A cell's rows
+    go through one ``%`` template per block, with "-0}" made "-0.0}" as in ``_json_array``; a
+    row holding a NaN or an inf is then rebuilt value by value."""
     cfg = outcome.config
+    kinds = [ESTIMATOR_KINDS[name] for name in cfg.estimators]
     for li, rate in enumerate(cfg.lambda_grid):
         for ni, n in enumerate(cfg.n_grid):
-            columns = [(ESTIMATOR_KINDS[name], outcome.values[(li, ni, name)].tolist())
-                       for name in cfg.estimators]
             head = f'{{"lambda":{fmt_json(rate)},"n":{n},"rep":'
-            for rep in range(cfg.reps):
-                fields = []
-                for kind, values in columns:
-                    v = values[rep]
-                    if math.isnan(v):
-                        fields.append(f'"{kind}":{{"value":null,"failed":true}}')
-                    elif math.isinf(v):
-                        fields.append(f'"{kind}":{{"value":null,"saturated":true}}')
-                    else:
-                        fields.append(f'"{kind}":{{"value":{fmt_json(v)}}}')
-                yield f"{head}{rep}," + ",".join(fields) + "}"
+            table = np.column_stack([np.zeros(cfg.reps)] + [outcome.values[(li, ni, name)]
+                                                            for name in cfg.estimators])
+            nonfinite = ~np.isfinite(table)
+            rebuilt = np.flatnonzero(nonfinite.any(axis=1)).tolist()
+            slow = table[rebuilt, 1:].tolist()
+            table[nonfinite] = 0.0
+            row = head + "%d," + ",".join(f'"{kind}":{{"value":%{RAW_SPEC}}}' for kind in kinds)
+            text = "\n".join(_text_blocks(table, row + "}", "\n", numbered=True))
+            lines = text.replace("-0}", "-0.0}").split("\n")
+            for rep, values in zip(rebuilt, slow):
+                lines[rep] = f"{head}{rep}," + ",".join(
+                    f'"{kind}":{{"value":null,"failed":true}}' if math.isnan(v)
+                    else f'"{kind}":{{"value":null,"saturated":true}}' if math.isinf(v)
+                    else f'"{kind}":{{"value":{fmt_json(v)}}}'
+                    for kind, v in zip(kinds, values)) + "}"
+            yield from lines

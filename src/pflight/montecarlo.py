@@ -9,9 +9,9 @@ Reproducibility contract: every replication draws from its own stream,
 derived from (master_seed, rate index, n index, replication index) alone.
 Results are assembled into arrays ordered by replication index before any
 aggregation, so the output is byte-identical whatever the worker count or
-scheduling order. Workers are separate processes, one per usable CPU at most,
-each taking one contiguous share of every cell; the ``PFL_THREADS``
-environment variable (0 = auto) sets their number when the caller passes no
+scheduling order. Each process, one per usable CPU at most, takes one task: its
+contiguous share of every cell. The caller runs share 0 and forked workers the
+others; ``PFL_THREADS`` (0 = auto) sets their number when the caller passes no
 count. A share reseeds one generator per replication with states derived
 for a chunk of replications at once, bit-identical to ``SeedSpec.generator``.
 
@@ -20,8 +20,8 @@ strides plus drawn events, evaluated as 2-d arrays. Each replication fills one
 row of the block's exponentials and uniforms from its own stream; a flight that
 outlasts its first chunk of exponentials, about 1e-9 of them, takes its
 statistics from the reference summary. The kernel returns each replication's
-``n_plus`` and ``S`` with the bits of ``run_replication``'s summary, and
-``run_experiment`` applies the registry's closed forms to them. Positions come
+``n_plus`` and ``S`` with the bits of ``run_replication``'s summary, and each
+share applies the registry's closed forms to them. Positions come
 from ``sample_at_grid``'s formula, and slacks are taken only of the strides that
 ``_run_range`` evaluates: a stride without an event is straight, so its slack
 is rounding alone, and a row skips such strides where that rounding is bounded
@@ -35,8 +35,6 @@ saturated indicator estimates are excluded from the moments and counted in
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -291,50 +289,58 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _run_part(config: ExperimentConfig, part: list[tuple[int, int, int, int]]) -> list:
+    """Each (li, ni, start, stop) task of ``part`` through ``_run_range`` and the closed forms:
+    one float64 array per configured estimator, a list per task. The first task that raises
+    ends the list with the exception in its place."""
+    arrays, formulas = [], [ESTIMATORS[name][2] for name in config.estimators]
+    for li, ni, start, stop in part:
+        n, delta, c = config.n_grid[ni], config.horizon / config.n_grid[ni], config.speed
+        try:
+            n_plus, s = _run_range(config, li, ni, start, stop)
+            arrays.append([np.array([formula(k, s_k, n, delta, c) for k, s_k in zip(n_plus, s)],
+                                    dtype=np.float64) for formula in formulas])
+        except Exception as exc:
+            return arrays + [exc]
+    return arrays
+
+
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> ExperimentOutcome:
     """Run the whole grid and aggregate per cell.
 
-    The same config and master seed produce byte-identical summaries for
-    any worker count: each cell's n_plus and S are assembled in replication
-    order before the estimators' closed forms run and the cell is aggregated.
+    Each process takes one task, its contiguous share of every cell, and applies the closed
+    forms to its own replications; the caller runs share 0 while forked workers run the
+    others. The same config and master seed produce byte-identical summaries for any worker
+    count: each cell's values are concatenated in share order, that is replication order,
+    before the cell is aggregated. A failure raises as in (cell, share) order.
     """
     processes = min(resolve_worker_count(workers), _usable_cpus())
     reps = config.reps
     cells = [(li, ni) for li in range(len(config.lambda_grid))
              for ni in range(len(config.n_grid))]
-
     # One share of each cell per process: a cell's replications cost alike, so none idles.
     shares = min(processes, reps)
-    tasks = [(li, ni, reps * i // shares, reps * (i + 1) // shares)
-             for li, ni in cells for i in range(shares)]
-    run = functools.partial(_run_range, config)
-    # A pool forks all its processes at the first submit: no more than there are tasks.
-    width = min(processes, len(tasks))
-    executor = contextlib.nullcontext()
-    if width > 1:
+    parts = [[(li, ni, reps * i // shares, reps * (i + 1) // shares) for li, ni in cells]
+             for i in range(shares)]
+    if shares > 1:
         # Imported here: `import pflight` and one-process runs load no multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-        executor = ProcessPoolExecutor(max_workers=width)
-    # map yields in task order: a cell's shares arrive in replication order and its last
-    # share ends at reps, so each cell is finished while the pool runs the later ones.
-    values, summaries, n_plus, s = {}, [], [], []
-    with executor as pool:
-        mapper = map if pool is None else pool.map
-        for (li, ni, _, stop), share in zip(tasks, mapper(run, *zip(*tasks))):
-            n_plus += share[0]
-            s += share[1]
-            if stop < reps:
-                continue
-            rate, n = config.lambda_grid[li], config.n_grid[ni]
-            delta = config.horizon / n
-            for name in config.estimators:
-                formula = ESTIMATORS[name][2]
-                values[(li, ni, name)] = cell_values = np.array(
-                    [formula(k, s_k, n, delta, config.speed) for k, s_k in zip(n_plus, s)],
-                    dtype=np.float64)
-                summaries.append(summarize(cell_values, rate=rate, n=n,
-                                           estimator_kind=ESTIMATOR_KINDS[name], reps=reps))
-            n_plus, s = [], []
+        with ProcessPoolExecutor(max_workers=shares - 1) as pool:
+            futures = [pool.submit(_run_part, config, part) for part in parts[1:]]
+            results = [_run_part(config, parts[0])] + [future.result() for future in futures]
+    else:
+        results = [_run_part(config, parts[0])]
+    values, summaries = {}, []
+    for cell, (li, ni) in enumerate(cells):
+        for arrays in results:
+            if isinstance(arrays[cell], Exception):
+                raise arrays[cell]
+        rate, n = config.lambda_grid[li], config.n_grid[ni]
+        for j, name in enumerate(config.estimators):
+            values[(li, ni, name)] = cell_values = np.concatenate(
+                [arrays[cell][j] for arrays in results])
+            summaries.append(summarize(cell_values, rate=rate, n=n,
+                                       estimator_kind=ESTIMATOR_KINDS[name], reps=reps))
     return ExperimentOutcome(config=config, summaries=tuple(summaries), values=values)
 
 

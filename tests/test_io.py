@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pflight import (
     DiscreteSample,
@@ -21,6 +23,7 @@ from pflight import (
     simulate_trajectory,
 )
 from pflight.cli import main
+from pflight.estimators import ESTIMATOR_KINDS
 from pflight.io import (
     DENSITY_HEADER,
     ESTIMATES_HEADER,
@@ -490,6 +493,79 @@ def outcome():
         master_seed=5,
     )
     return run_experiment(cfg, workers=1)
+
+
+def reference_raw_lines(outcome):
+    """The per-value formula: finite values through fmt_json, NaN as null plus "failed", an
+    inf of either sign as null plus "saturated"."""
+    cfg = outcome.config
+    for li, rate in enumerate(cfg.lambda_grid):
+        for ni, n in enumerate(cfg.n_grid):
+            for rep in range(cfg.reps):
+                fields = []
+                for name in cfg.estimators:
+                    v = float(outcome.values[(li, ni, name)][rep])
+                    record = ('{"value":null,"failed":true}' if math.isnan(v)
+                              else '{"value":null,"saturated":true}' if math.isinf(v)
+                              else f'{{"value":{fmt_json(v)}}}')
+                    fields.append(f'"{ESTIMATOR_KINDS[name]}":{record}')
+                yield f'{{"lambda":{fmt_json(rate)},"n":{n},"rep":{rep},' + ",".join(fields) + "}"
+
+
+def raw_outcome(columns, lambda_grid=(0.5, 2.0)):
+    """A hand-built outcome: cell i of the estimators hat, tilde and dot holds columns[i]."""
+    reps = len(columns[0][0])
+    cfg = ExperimentConfig(lambda_grid=lambda_grid, n_grid=(20,), horizon=50.0, reps=reps,
+                           master_seed=5)
+    values = {(li, 0, name): np.asarray(column, dtype=np.float64)
+              for li, cell in enumerate(columns) for name, column in zip(cfg.estimators, cell)}
+    return ExperimentOutcome(cfg, (), values)
+
+
+RAW_SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-5,
+                1.7976931348623157e308, -5e-324, -1e-5)
+
+
+class TestRawRecords:
+    def test_block_writer_matches_per_value_formula(self):
+        # Two cells of _ROWS + 3 replications, so each crosses a block boundary. The first
+        # holds every special at rows on both sides of the boundary and at the ends, alone in
+        # a row or beside others; the second is finite throughout.
+        reps = _ROWS + 3
+        rng = np.random.default_rng(29)
+        special = rng.normal(scale=3.0, size=(3, reps))
+        rows = (0, 1, 2, _ROWS - 2, _ROWS - 1, _ROWS, _ROWS + 1, reps - 1)
+        cycle = iter(RAW_SPECIALS * 3)
+        for r in rows:
+            special[:, r] = [next(cycle), special[1, r], next(cycle)]
+        special[:, 3] = (-0.0, -0.0, math.nan)  # negative zeros in a rebuilt row
+        finite = rng.exponential(size=(3, reps))
+        finite[:, 5] = (-0.0, 0.0, 5e-324)
+        outcome = raw_outcome([special, finite])
+        lines = list(raw_ndjson_lines(outcome))
+        assert len(lines) == 2 * reps
+        assert lines == list(reference_raw_lines(outcome))
+        # Rows 1, 2, 3, _ROWS + 1 and reps - 1 of the first cell are rebuilt.
+        assert sum("null" in line for line in lines) == 5
+        assert '"value":-0.0}' in lines[3] and '"value":-0.0}' in lines[reps + 5]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3).flatmap(lambda reps: st.lists(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=reps, max_size=reps),
+        min_size=3, max_size=3)))
+    def test_every_line_parses_and_finite_values_round_trip(self, cell):
+        outcome = raw_outcome([cell], lambda_grid=(1.0,))
+        for rep, line in enumerate(raw_ndjson_lines(outcome)):
+            record = json.loads(line)
+            assert (record["lambda"], record["n"], record["rep"]) == (1, 20, rep)
+            for name, column in zip(outcome.config.estimators, cell):
+                got, want = record[ESTIMATOR_KINDS[name]], column[rep]
+                if math.isnan(want):
+                    assert got == {"value": None, "failed": True}
+                elif math.isinf(want):
+                    assert got == {"value": None, "saturated": True}
+                else:
+                    assert np.float64(got["value"]).tobytes() == np.float64(want).tobytes()
 
 
 class TestExperimentTables:

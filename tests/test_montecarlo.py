@@ -2,13 +2,16 @@
 
 import concurrent.futures
 import dataclasses
+import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from pflight import (
     run_replication,
     summarize,
 )
+from pflight.cli import main
 from pflight.io import summary_csv_lines
 
 
@@ -238,9 +242,10 @@ class TestRunExperiment:
 
     def test_pool_is_capped_at_tasks_and_cpus(self, monkeypatch):
         # Under the fork start method a pool starts all its processes at the first submit, so
-        # PFL_THREADS=64 on one cell of 4 replications must not fork 64. A fake pool records
-        # its width and its tasks' ranges and maps in-process; the partition follows the width.
-        widths, ranges = [], []
+        # PFL_THREADS=64 on one cell of 4 replications must not fork 64: the caller runs share
+        # 0 and the pool one worker per other share. A fake pool records its width and the
+        # ranges submitted to it and runs each share in-process when its result is asked for.
+        widths, submitted, ran = [], [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -252,30 +257,74 @@ class TestRunExperiment:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, *columns):
-                ranges.extend(zip(columns[2], columns[3]))
-                return map(fn, *columns)
+            def submit(self, fn, config, part):
+                submitted.append(part[0][2:])
+                return SimpleNamespace(result=lambda: fn(config, part))
+
+        run_part = montecarlo._run_part
+
+        def spy(config, part):
+            ran.append(part[0][2:])
+            return run_part(config, part)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(montecarlo, "_run_part", spy)
         monkeypatch.setenv("PFL_THREADS", "64")
         cfg = small_config(lambda_grid=(0.5,), n_grid=(50,), reps=4)
         want = run_experiment(cfg, workers=1)
-        for cpus, pool_widths in ((8, [4]), (3, [3]), (1, [])):
+        for cpus, pool_widths in ((8, [3]), (3, [2]), (1, [])):
             widths.clear()
-            ranges.clear()
+            submitted.clear()
+            ran.clear()
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
             got = run_experiment(cfg)
             assert widths == pool_widths, cpus
-            # One contiguous share per process, covering the cell, sizes within one.
-            assert len(ranges) == sum(widths)
-            if ranges:
-                assert ranges[0][0] == 0 and ranges[-1][1] == cfg.reps
-                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-                sizes = [stop - start for start, stop in ranges]
-                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+            # The caller's share first, then the submitted ones: one contiguous share per
+            # process, covering the cell, sizes within one.
+            assert ran[1:] == submitted and len(submitted) == sum(widths)
+            assert ran[0][0] == 0 and ran[-1][1] == cfg.reps
+            assert all(a[1] == b[0] for a, b in zip(ran, ran[1:]))
+            sizes = [stop - start for start, stop in ran]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
             assert got.summaries == want.summaries
             for key, vals in want.values.items():
                 assert vals.tobytes() == got.values[key].tobytes()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched kernel reaches the worker only through fork")
+    def test_failure_order_and_cleanup(self, monkeypatch, capsys, tmp_path):
+        # The caller's share [0, 20) fails at cell 3, the worker's [20, 40) at cell 1. As
+        # pool.map over the (cell, share) tasks did, the run raises the cell-1 failure, as it
+        # does on one process, and joins the worker before the error goes further.
+        run_range, calls = montecarlo._run_range, []
+
+        def failing(config, li, ni, start, stop):
+            cell = li * len(config.n_grid) + ni
+            calls.append((cell, start, stop))
+            for bad_cell, rep in ((3, 0), (1, config.reps - 1)):
+                if cell == bad_cell and start <= rep < stop:
+                    raise ParameterError(f"cell {bad_cell} fails at replication {rep}")
+            return run_range(config, li, ni, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_run_range", failing)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        cfg = small_config()
+        for workers in (1, 2):
+            calls.clear()
+            with pytest.raises(ParameterError, match="^cell 1 fails at replication 39$"):
+                run_experiment(cfg, workers=workers)
+            assert multiprocessing.active_children() == []
+        # The calls seen here are the caller's: share 0 of cells 0 to 3, where it stopped.
+        assert calls == [(cell, 0, 20) for cell in range(4)]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_json(cfg)))
+        monkeypatch.setenv("PFL_THREADS", "2")
+        assert main(["mc", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"error": "ParameterError", "command": "mc",
+                                   "message": "cell 1 fails at replication 39"}
+        assert multiprocessing.active_children() == []
 
     def test_outcome_carries_config(self):
         cfg = small_config()

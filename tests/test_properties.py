@@ -494,7 +494,7 @@ def _outcome(cfg, workers):
        st.lists(st.integers(1, 120), min_size=1, max_size=2, unique=True),
        st.floats(1.0, 300.0), st.integers(1, 30), st.integers(0, 2**64 - 1))
 def test_worker_count_invariance(rates, ns, horizon, reps, seed):
-    # Each example starts a pool of two workers, hence the few examples.
+    # Each example forks a worker to run share 1 beside the caller, hence the few examples.
     cfg = ExperimentConfig(lambda_grid=tuple(rates), n_grid=tuple(ns), horizon=horizon,
                            reps=reps, master_seed=seed)
     assert _outcome(cfg, 1) == _outcome(cfg, 2)
