@@ -5,8 +5,8 @@ to --out (default stdout). Arithmetic failures (a NumericalError, an overflow,
 a division by zero) exit with code 1, invalid input, I/O problems and memory
 exhaustion with code 2; each prints a one-line JSON error record to stderr. The
 PFL_THREADS environment variable (0 = auto) sets how many processes, the caller
-among them, compute a Monte Carlo run, one share of every cell each, at most one
-per usable CPU. ``main`` builds its parser once per process and reuses it:
+among them, compute a Monte Carlo run, each claiming whole cells in turn, at most
+one per usable CPU. ``main`` builds its parser once per process and reuses it:
 parsing leaves the parser as it was, so every call parses as a fresh parser would.
 """
 

@@ -9,11 +9,11 @@ Reproducibility contract: every replication draws from its own stream,
 derived from (master_seed, rate index, n index, replication index) alone.
 Results are assembled into arrays ordered by replication index before any
 aggregation, so the output is byte-identical whatever the worker count or
-scheduling order. Each process, one per usable CPU at most, takes one task: its
-contiguous share of every cell. The caller runs share 0 and forked workers the
-others; ``PFL_THREADS`` (0 = auto) sets their number when the caller passes no
-count. A share reseeds one generator per replication with states derived
-for a chunk of replications at once, bit-identical to ``SeedSpec.generator``.
+scheduling order. The processes, one per usable CPU at most and the caller among
+them, claim whole cells, largest first, from a counter they share;
+``PFL_THREADS`` (0 = auto) sets their number when the caller passes no count. A
+task reseeds one generator per replication with states derived for a chunk of
+replications at once, bit-identical to ``SeedSpec.generator``.
 
 A cell's replications run in blocks of about ``_BLOCK_STRIDES`` columns,
 strides plus drawn events, evaluated as 2-d arrays. Each replication fills one
@@ -21,7 +21,7 @@ row of the block's exponentials and uniforms from its own stream; a flight that
 outlasts its first chunk of exponentials, about 1e-9 of them, takes its
 statistics from the reference summary. The kernel returns each replication's
 ``n_plus`` and ``S`` with the bits of ``run_replication``'s summary, and each
-share applies the registry's closed forms to them. Positions come
+task applies the registry's closed forms to them. Positions come
 from ``sample_at_grid``'s formula, and slacks are taken only of the strides that
 ``_run_range`` evaluates: a stride without an event is straight, so its slack
 is rounding alone, and a row skips such strides where that rounding is bounded
@@ -289,56 +289,76 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_part(config: ExperimentConfig, part: list[tuple[int, int, int, int]]) -> list:
-    """Each (li, ni, start, stop) task of ``part`` through ``_run_range`` and the closed forms:
-    one float64 array per configured estimator, a list per task. The first task that raises
-    ends the list with the exception in its place."""
-    arrays, formulas = [], [ESTIMATORS[name][2] for name in config.estimators]
-    for li, ni, start, stop in part:
+def _take_counter(counter) -> None:
+    """A pool worker's initializer: keeps the task counter that every process of the run shares."""
+    global _counter
+    _counter = counter
+
+
+def _claims(counter, count: int):
+    """Task indices below ``count``, each taken under the lock of a counter the processes share."""
+    while True:
+        with counter.get_lock():
+            index, counter.value = counter.value, counter.value + 1
+        if index >= count:
+            return
+        yield index
+
+
+def _run_tasks(config: ExperimentConfig, tasks: list, indices=None) -> dict:
+    """``tasks[i]`` for each i of ``indices`` (a pool worker's claims where None), by task: the
+    closed forms' float64 arrays, one per configured estimator, or the exception it raised."""
+    done, formulas = {}, [ESTIMATORS[name][2] for name in config.estimators]
+    for index in _claims(_counter, len(tasks)) if indices is None else indices:
+        li, ni, start, stop = task = tasks[index]
         n, delta, c = config.n_grid[ni], config.horizon / config.n_grid[ni], config.speed
         try:
             n_plus, s = _run_range(config, li, ni, start, stop)
-            arrays.append([np.array([formula(k, s_k, n, delta, c) for k, s_k in zip(n_plus, s)],
-                                    dtype=np.float64) for formula in formulas])
+            done[task] = [np.array([formula(k, s_k, n, delta, c) for k, s_k in zip(n_plus, s)],
+                                   dtype=np.float64) for formula in formulas]
         except Exception as exc:
-            return arrays + [exc]
-    return arrays
+            done[task] = exc
+    return done
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> ExperimentOutcome:
     """Run the whole grid and aggregate per cell.
 
-    Each process takes one task, its contiguous share of every cell, and applies the closed
-    forms to its own replications; the caller runs share 0 while forked workers run the
-    others. The same config and master seed produce byte-identical summaries for any worker
-    count: each cell's values are concatenated in share order, that is replication order,
-    before the cell is aggregated. A failure raises as in (cell, share) order.
+    Every process, the caller among them, claims whole cells, largest first, from a shared
+    counter. Each cell's values are put back in replication order before it is aggregated, so
+    the output is byte-identical for any worker count. A failure raises as in cell order.
     """
     processes = min(resolve_worker_count(workers), _usable_cpus())
     reps = config.reps
-    cells = [(li, ni) for li in range(len(config.lambda_grid))
-             for ni in range(len(config.n_grid))]
-    # One share of each cell per process: a cell's replications cost alike, so none idles.
-    shares = min(processes, reps)
-    parts = [[(li, ni, reps * i // shares, reps * (i + 1) // shares) for li, ni in cells]
-             for i in range(shares)]
-    if shares > 1:
+    # Each cell's columns per replication, as _BLOCK_STRIDES counts them.
+    cells = {(li, ni): n + _chunk(rate, config.horizon)
+             for li, rate in enumerate(config.lambda_grid) for ni, n in enumerate(config.n_grid)}
+    # Cells split into equal ranges only where there are too few for eight tasks per process.
+    splits = min(reps, -(-8 * processes // len(cells))) if processes > 1 else 1
+    ranges = {cell: [(*cell, reps * i // splits, reps * (i + 1) // splits) for i in range(splits)]
+              for cell in cells}
+    tasks = sorted([task for parts in ranges.values() for task in parts], reverse=True,
+                   key=lambda t: (t[3] - t[2]) * cells[t[:2]])  # ties keep cell order
+    if pool_size := min(processes, len(tasks)) - 1:
         # Imported here: `import pflight` and one-process runs load no multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=shares - 1) as pool:
-            futures = [pool.submit(_run_part, config, part) for part in parts[1:]]
-            results = [_run_part(config, parts[0])] + [future.result() for future in futures]
+        from multiprocessing import Value
+        counter = Value("q", 0)
+        with ProcessPoolExecutor(pool_size, initializer=_take_counter, initargs=(counter,)) as pool:
+            futures = [pool.submit(_run_tasks, config, tasks) for _ in range(pool_size)]
+            done = _run_tasks(config, tasks, _claims(counter, len(tasks)))
+            for future in futures:
+                done.update(future.result())
     else:
-        results = [_run_part(config, parts[0])]
+        done = _run_tasks(config, tasks, range(len(tasks)))
     values, summaries = {}, []
-    for cell, (li, ni) in enumerate(cells):
-        for arrays in results:
-            if isinstance(arrays[cell], Exception):
-                raise arrays[cell]
+    for (li, ni), parts in ranges.items():
+        for task in parts:
+            if isinstance(done[task], Exception):
+                raise done[task]
         rate, n = config.lambda_grid[li], config.n_grid[ni]
         for j, name in enumerate(config.estimators):
-            values[(li, ni, name)] = cell_values = np.concatenate(
-                [arrays[cell][j] for arrays in results])
+            values[(li, ni, name)] = cell_values = np.concatenate([done[t][j] for t in parts])
             summaries.append(summarize(cell_values, rate=rate, n=n,
                                        estimator_kind=ESTIMATOR_KINDS[name], reps=reps))
     return ExperimentOutcome(config=config, summaries=tuple(summaries), values=values)

@@ -431,14 +431,15 @@ def test_criterion_8_worker_count_determinism(monkeypatch):
         estimators=("hat",),
     )
     cpus = montecarlo._usable_cpus()
-    shares = {1: 1, 2: min(2, cpus), 8: 8}
+    processes = {1: 1, 2: min(2, cpus), 8: 8}
     outcomes = {w: run_experiment(cfg, workers=w) for w in (1, 2)}
-    # Eight shares per cell on any host: run_experiment is told of 8 CPUs, and a pool no
-    # wider than the real ones runs the 224 shares.
+    # Eight processes on any host: run_experiment is told of 8 CPUs, so it splits each cell
+    # into three tasks, and a pool no wider than the real ones claims the 84 tasks.
     real_pool = concurrent.futures.ProcessPoolExecutor
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: real_pool(max_workers=min(max_workers, cpus)))
+                        lambda max_workers, **kwargs: real_pool(max_workers=min(max_workers, cpus),
+                                                                **kwargs))
     outcomes[8] = run_experiment(cfg, workers=8)
     csvs = {
         w: ("\n".join(summary_csv_lines(o)) + "\n").encode()
@@ -456,7 +457,7 @@ def test_criterion_8_worker_count_determinism(monkeypatch):
         "worker-count-determinism",
         ok,
         f"summary CSV ({len(csvs[1])} bytes, 28 cells x 10000 replications) "
-        f"identical across {shares[1]}/{shares[2]}/{shares[8]} shares per cell: {bytes_ok}; "
+        f"identical across {processes[1]}/{processes[2]}/{processes[8]} processes: {bytes_ok}; "
         f"raw value arrays identical: {values_ok}",
     )
     assert bytes_ok

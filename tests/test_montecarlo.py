@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -242,14 +243,16 @@ class TestRunExperiment:
 
     def test_pool_is_capped_at_tasks_and_cpus(self, monkeypatch):
         # Under the fork start method a pool starts all its processes at the first submit, so
-        # PFL_THREADS=64 on one cell of 4 replications must not fork 64: the caller runs share
-        # 0 and the pool one worker per other share. A fake pool records its width and the
-        # ranges submitted to it and runs each share in-process when its result is asked for.
-        widths, submitted, ran = [], [], []
+        # PFL_THREADS=64 on one cell of 4 replications must not fork 64: one process per task
+        # at most, the caller among them. A fake pool records its width, hands the counter to
+        # its initializer and runs each submitted runner in-process at once, so that it claims
+        # every task before the caller; a spy on _run_range records the tasks in claim order.
+        widths, claimed = [], []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 widths.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -257,35 +260,42 @@ class TestRunExperiment:
             def __exit__(self, *exc_info):
                 return False
 
-            def submit(self, fn, config, part):
-                submitted.append(part[0][2:])
-                return SimpleNamespace(result=lambda: fn(config, part))
+            def submit(self, fn, *args):
+                result = fn(*args)
+                return SimpleNamespace(result=lambda: result)
 
-        run_part = montecarlo._run_part
+        run_range = montecarlo._run_range
 
-        def spy(config, part):
-            ran.append(part[0][2:])
-            return run_part(config, part)
+        def spy(config, li, ni, start, stop):
+            claimed.append((li, ni, start, stop))
+            return run_range(config, li, ni, start, stop)
 
+        monkeypatch.setattr(montecarlo, "_counter", None, raising=False)  # set by the fake pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(montecarlo, "_run_part", spy)
+        monkeypatch.setattr(montecarlo, "_run_range", spy)
         monkeypatch.setenv("PFL_THREADS", "64")
-        cfg = small_config(lambda_grid=(0.5,), n_grid=(50,), reps=4)
-        want = run_experiment(cfg, workers=1)
-        for cpus, pool_widths in ((8, [3]), (3, [2]), (1, [])):
+        one_cell = small_config(lambda_grid=(0.5,), n_grid=(50,), reps=4)
+        cells_16 = small_config(lambda_grid=(0.25, 0.5, 0.75, 1.0), n_grid=(50, 60, 80, 100))
+        # (config, CPUs, pool widths, tasks): a lone cell splits into one task per replication
+        # here, four cells into four tasks each on two processes, and sixteen stay whole.
+        for cfg, cpus, pool_widths, tasks in ((one_cell, 8, [3], 4), (one_cell, 3, [2], 4),
+                                              (one_cell, 1, [], 1), (small_config(), 2, [1], 16),
+                                              (cells_16, 2, [1], 16)):
+            want = run_experiment(cfg, workers=1)
             widths.clear()
-            submitted.clear()
-            ran.clear()
+            claimed.clear()
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
             got = run_experiment(cfg)
-            assert widths == pool_widths, cpus
-            # The caller's share first, then the submitted ones: one contiguous share per
-            # process, covering the cell, sizes within one.
-            assert ran[1:] == submitted and len(submitted) == sum(widths)
-            assert ran[0][0] == 0 and ran[-1][1] == cfg.reps
-            assert all(a[1] == b[0] for a, b in zip(ran, ran[1:]))
-            sizes = [stop - start for start, stop in ran]
-            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+            assert (widths, len(claimed)) == (pool_widths, tasks), cpus
+            # Every (cell, replication) exactly once, in descending cost; ties in cell order.
+            covered = sorted((li, ni, rep) for li, ni, start, stop in claimed
+                             for rep in range(start, stop))
+            assert covered == [(li, ni, rep) for li in range(len(cfg.lambda_grid))
+                               for ni in range(len(cfg.n_grid)) for rep in range(cfg.reps)]
+            order = [(-(stop - start) * (cfg.n_grid[ni] + simulate._chunk(cfg.lambda_grid[li],
+                                                                          cfg.horizon)),
+                      li, ni, start) for li, ni, start, stop in claimed]
+            assert order == sorted(order)
             assert got.summaries == want.summaries
             for key, vals in want.values.items():
                 assert vals.tobytes() == got.values[key].tobytes()
@@ -293,14 +303,14 @@ class TestRunExperiment:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched kernel reaches the worker only through fork")
     def test_failure_order_and_cleanup(self, monkeypatch, capsys, tmp_path):
-        # The caller's share [0, 20) fails at cell 3, the worker's [20, 40) at cell 1. As
-        # pool.map over the (cell, share) tasks did, the run raises the cell-1 failure, as it
-        # does on one process, and joins the worker before the error goes further.
+        # Cell 3 fails at its first replication and cell 1 at its last. Whichever process
+        # claims them, and in whatever order, the run raises the cell-1 failure, as a run in
+        # cell order does, and joins every worker before the error goes further.
         run_range, calls = montecarlo._run_range, []
 
         def failing(config, li, ni, start, stop):
             cell = li * len(config.n_grid) + ni
-            calls.append((cell, start, stop))
+            calls.append(cell)
             for bad_cell, rep in ((3, 0), (1, config.reps - 1)):
                 if cell == bad_cell and start <= rep < stop:
                     raise ParameterError(f"cell {bad_cell} fails at replication {rep}")
@@ -314,8 +324,9 @@ class TestRunExperiment:
             with pytest.raises(ParameterError, match="^cell 1 fails at replication 39$"):
                 run_experiment(cfg, workers=workers)
             assert multiprocessing.active_children() == []
-        # The calls seen here are the caller's: share 0 of cells 0 to 3, where it stopped.
-        assert calls == [(cell, 0, 20) for cell in range(4)]
+            if workers == 1:
+                # Cell 3, the largest, runs first: a process claims on after a task raises.
+                assert calls == [3, 1, 2, 0]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_to_json(cfg)))
         monkeypatch.setenv("PFL_THREADS", "2")
@@ -326,10 +337,55 @@ class TestRunExperiment:
                                    "message": "cell 1 fails at replication 39"}
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched kernel reaches the worker only through fork")
+    def test_slow_caller_does_not_slow_the_run(self, monkeypatch):
+        # The caller's kernel calls sleep 20 ms each and the forked worker's do not, so the
+        # worker claims most of the 16 cells while the caller sleeps. A fixed split of every
+        # cell would leave the caller half of the replications.
+        caller, run_range, ran = os.getpid(), montecarlo._run_range, []
+
+        def slow_in_caller(config, li, ni, start, stop):
+            if os.getpid() == caller:
+                ran.append(stop - start)
+                time.sleep(0.02)
+            return run_range(config, li, ni, start, stop)
+
+        cfg = small_config(lambda_grid=(0.25, 0.5, 0.75, 1.0), n_grid=(50, 60, 80, 100), reps=10)
+        want = run_experiment(cfg, workers=1)
+        monkeypatch.setattr(montecarlo, "_run_range", slow_in_caller)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        got = run_experiment(cfg, workers=2)
+        assert 0 < sum(ran) <= 16 * cfg.reps / 3
+        assert list(summary_csv_lines(got)) == list(summary_csv_lines(want))
+        assert got.values.keys() == want.values.keys()
+        for key, vals in want.values.items():
+            assert vals.tobytes() == got.values[key].tobytes()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers find the claiming function through fork")
+    def test_claims_take_each_task_once(self):
+        # Four workers and the caller, more processes than cores on a 2- or 4-CPU host, claim
+        # 20,000 indices from one counter: a lost update would hand an index out twice.
+        count, counter = 20_000, multiprocessing.Value("q", 0)
+        with concurrent.futures.ProcessPoolExecutor(4, initializer=montecarlo._take_counter,
+                                                    initargs=(counter,)) as pool:
+            futures = [pool.submit(_claimed_in_worker, count) for _ in range(4)]
+            claimed = list(montecarlo._claims(counter, count))
+            for future in futures:
+                claimed += future.result(timeout=60)
+        assert sorted(claimed) == list(range(count))
+        assert multiprocessing.active_children() == []
+
     def test_outcome_carries_config(self):
         cfg = small_config()
         out = run_experiment(cfg, workers=1)
         assert out.config == cfg
+
+
+def _claimed_in_worker(count):
+    """The indices a pool worker claims from the counter its initializer kept."""
+    return list(montecarlo._claims(montecarlo._counter, count))
 
 
 def _force_rare_rows(monkeypatch, chunk):
